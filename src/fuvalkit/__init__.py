@@ -1,6 +1,8 @@
 """Adaptive-stepsize stochastic optimization: Polyak-type steps, slack-learning
 updates, projection primitives, and a benchmark harness."""
 
+import types
+
 from .bench import (
     BoundKind,
     BoundReport,
@@ -72,4 +74,8 @@ from .surrogate import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+]

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import enum
 import io
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import LossKind, Problem, SparseExample
+from .problems import LossKind, Problem
 
 
 class ParseError(ValueError):
@@ -65,19 +66,20 @@ def parse_libsvm(
     else:
         lines = source.read().splitlines()
 
-    rows: list[tuple[float, np.ndarray, np.ndarray]] = []
-    max_idx = 0
+    # typed buffers hold 8 bytes per entry, where a list holds a float object
+    labels = array("d")
+    indptr = array("q", [0])
+    cols = array("q")  # 0-based
+    vals = array("d")
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         try:
-            label = float(tokens[0])
+            labels.append(float(tokens[0]))
         except ValueError:
             raise ParseError(line_no, f"non-numeric label {tokens[0]!r}") from None
-        idxs: list[int] = []
-        vals: list[float] = []
         prev = 0
         for tok in tokens[1:]:
             try:
@@ -89,42 +91,39 @@ def parse_libsvm(
             if idx <= prev:
                 raise ParseError(line_no, f"non-increasing feature index {idx}")
             prev = idx
-            idxs.append(idx)
+            cols.append(idx - 1)
             vals.append(val)
-        if idxs:
-            max_idx = max(max_idx, idxs[-1])
-        rows.append((label, np.array(idxs, dtype=np.int64), np.array(vals)))
+        indptr.append(len(cols))
 
-    if not rows:
+    del lines  # free the text's copy before the Problem builds any dense copy
+    if not labels:
         raise ParseError(0, "no examples found")
-    d = dim if dim is not None else max(max_idx, 1)
+    indices = np.frombuffer(cols, dtype=np.int64)
+    d = dim if dim is not None else int(indices.max(initial=0)) + 1
 
-    labels = [r[0] for r in rows]
-    if loss_kind is LossKind.LOGISTIC:
-        distinct = sorted(set(labels))
-        if len(distinct) > 2:
-            raise ParseError(0, f"{len(distinct)} distinct labels; logistic needs two")
-        if len(distinct) == 2:
-            mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
-        else:
-            mapping = {distinct[0]: 1.0}
-        labels = [mapping[y] for y in labels]
-
-    examples = [
-        SparseExample(label=y, indices=r[1], values=r[2], dim=d)
-        for y, r in zip(labels, rows)
-    ]
-    return Problem(examples=examples, loss_kind=loss_kind, dim=d)
+    y = np.frombuffer(labels)
+    if loss_kind is LossKind.LOGISTIC and np.all(np.isfinite(y)):  # Problem rejects the rest
+        distinct = np.unique(y)
+        if distinct.size > 2:
+            raise ParseError(0, f"{distinct.size} distinct labels; logistic needs two")
+        y = np.where(y == distinct[0], -1.0, 1.0) if distinct.size == 2 else np.ones_like(y)
+    return Problem(
+        loss_kind=loss_kind,
+        dim=d,
+        labels=y,
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=indices,
+        data=np.frombuffer(vals),
+    )
 
 
 def serialize_libsvm(problem: Problem) -> str:
     """Inverse of parse_libsvm; round-trips to an identical Problem."""
     out = []
-    for ex in problem.examples:
-        feats = " ".join(
-            f"{i}:{v!r}" for i, v in zip(ex.indices.tolist(), ex.values.tolist())
-        )
-        out.append(f"{ex.label!r} {feats}".rstrip())
+    for i, y in enumerate(problem.labels.tolist(), start=1):
+        cols, vals = problem.row(i)
+        feats = " ".join(f"{c}:{v!r}" for c, v in zip((cols + 1).tolist(), vals.tolist()))
+        out.append(f"{y!r} {feats}".rstrip())
     return "\n".join(out) + "\n"
 
 
@@ -151,9 +150,13 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[Problem, np.ndarray | None]:
             known = w_nat
         loss_kind = LossKind.LEAST_SQUARES
 
-    idx = np.arange(1, spec.d + 1, dtype=np.int64)
-    examples = [
-        SparseExample(label=float(labels[i]), indices=idx, values=x[i], dim=spec.d)
-        for i in range(spec.n)
-    ]
-    return Problem(examples=examples, loss_kind=loss_kind, dim=spec.d), known
+    n, d = spec.n, spec.d
+    problem = Problem(
+        loss_kind=loss_kind,
+        dim=d,
+        labels=labels,
+        indptr=np.arange(0, n * d + 1, d),
+        indices=np.tile(np.arange(d), n),
+        data=x.ravel(),
+    )
+    return problem, known

@@ -22,11 +22,11 @@ from .problems import (
     objective,
     objective_grad,
     per_sample_values,
+    row_norms_sq,
     sample_constants,
 )
-from .projections import positive_part
+from .projections import ZERO_GRAD_SQ, positive_part
 
-ZERO_GRAD_SQ = 1e-24  # squared gradient norm below this means a zero step
 DIVERGENCE_LIMIT = 1e100
 
 
@@ -393,8 +393,8 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
     """Execute a method for the configured number of steps.
 
     Index sampling is i.i.d. uniform from a generator seeded by config.seed,
-    so identical configs give bit-identical traces.  A NaN/Inf objective
-    halts the run with a diverged status.
+    so identical configs give bit-identical traces.  A NaN/Inf objective,
+    or a NaN/Inf entry written into w, halts the run with a diverged status.
     """
     n, d = problem.n, problem.dim
     total = config.total_steps(n)
@@ -408,6 +408,8 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
             raise ConfigurationError("SPS/SPS+ refuse a non-converged reference")
 
     w = np.zeros(d) if config.w0 is None else config.w0.astype(float).copy()
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("w0 must be finite")
 
     needs_slack = isinstance(method, (Fuval, ProxLinearAppC))
     if isinstance(method, Fuval):
@@ -424,7 +426,7 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
     per_sample_star = (
         np.asarray(reference.per_sample_f_star) if reference is not None else None
     )
-    norms_sq = np.array([e.norm_sq() for e in problem.examples])
+    norms_sq = row_norms_sq(problem)
 
     records: list[tuple] = []
     iterates = [w.copy()] if config.store_iterates else None
@@ -446,22 +448,21 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
     for t in range(total):
         if isinstance(method, (GD, FuvalFullBatch)):
             j = 0
+            cols = slice(None)  # a full-batch step writes all of w
         else:
             j = int(rng.integers(n)) + 1
+            cols, vals = problem.row(j)
 
         if isinstance(method, GD):
             g = objective_grad(problem, w)
             w = w - method.step * g
             last = (0, math.nan, math.nan, float(g @ g), method.step)
         elif isinstance(method, SGD):
-            ex = problem.examples[j - 1]
             coef = loss_grad_coef(problem, j, w)
             f_j = loss_value(problem, j, w)
-            if ex.indices.size:
-                w[ex.indices - 1] -= method.step * coef * ex.values
+            w[cols] -= method.step * coef * vals
             last = (j, math.nan, f_j, coef * coef * norms_sq[j - 1], method.step)
         elif isinstance(method, (SPS, SPSPlus)):
-            ex = problem.examples[j - 1]
             coef = loss_grad_coef(problem, j, w)
             g_sq = coef * coef * norms_sq[j - 1]
             f_j = loss_value(problem, j, w)
@@ -470,8 +471,7 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
                 if isinstance(method, SPSPlus):
                     gap = positive_part(gap)
                 step = gap / g_sq
-                if ex.indices.size:
-                    w[ex.indices - 1] -= step * coef * ex.values
+                w[cols] -= step * coef * vals
             else:
                 step = 0.0
             last = (j, math.nan, f_j, g_sq, step)
@@ -479,14 +479,12 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
             p = method.params
             lam_t = p.lambda_schedule.value(t)
             delta_t = p.delta_schedule.value(t)
-            ex = problem.examples[j - 1]
             coef = loss_grad_coef(problem, j, w)
             g_sq = coef * coef * norms_sq[j - 1]
             f_j = loss_value(problem, j, w)
             tau = fuval_tau(f_j, float(s[j - 1]), g_sq, lam_t, delta_t, p.c_penalty)
             step = gamma * tau * lam_t
-            if ex.indices.size:
-                w[ex.indices - 1] -= step * coef * ex.values
+            w[cols] -= step * coef * vals
             s[j - 1] += gamma * delta_t * (tau - 1.0)
             last = (j, tau, f_j, g_sq, step)
             if lambdas is not None:
@@ -501,7 +499,6 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
                 lambdas.append(lam_t)
         else:  # ProxLinearAppC
             lam_t = method.lambda_schedule.value(t)
-            ex = problem.examples[j - 1]
             coef = loss_grad_coef(problem, j, w)
             g_sq = coef * coef * norms_sq[j - 1]
             f_j = loss_value(problem, j, w)
@@ -509,8 +506,7 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
                 lam_t * method.c_penalty,
                 positive_part(f_j - float(s[j - 1]) + lam_t) / (g_sq + 1.0),
             )
-            if ex.indices.size:
-                w[ex.indices - 1] -= tau * coef * ex.values
+            w[cols] -= tau * coef * vals
             s[j - 1] += tau - lam_t
             last = (j, tau, f_j, g_sq, tau)
             if lambdas is not None:
@@ -519,16 +515,17 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
         if iterates is not None:
             iterates.append(w.copy())
 
-        should_eval = ((t + 1) % config.eval_every == 0) or (t + 1 == total)
-        if should_eval:
+        # w was finite before this step, so it is finite exactly when the
+        # entries this step wrote are
+        if not np.isfinite(w[cols]).all():
+            status = "diverged"
+            evaluate(t + 1)
+            break
+        if ((t + 1) % config.eval_every == 0) or (t + 1 == total):
             f = evaluate(t + 1)
             if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
                 status = "diverged"
                 break
-        elif not np.all(np.isfinite(w)):
-            status = "diverged"
-            evaluate(t + 1)
-            break
 
     seconds = time.perf_counter() - t0
     arr = np.array(records, dtype=float)

@@ -135,7 +135,10 @@ def suite_projections(instances: int = 1000, tol: float = 1e-6) -> list[Property
         # plain halfspace projection
         if float(a @ a) > 1e-12 or c <= 0:
             w_closed = halfspace_project(a, c, w0)
-            obj = lambda w: float(np.sum((w - w0) ** 2))
+            def obj(w, w0=w0):
+                r = w - w0
+                return float(r @ r)
+
             _, f_oracle = brute_force_minimize(
                 obj, w0, tol=1e-10, constraint=(a, float(a @ w0) - c)
             )
@@ -145,8 +148,9 @@ def suite_projections(instances: int = 1000, tol: float = 1e-6) -> list[Property
         inst = HalfspaceSlackInstance(a=a, c=c, w0=w0, s0=s0, delta=delta)
         w_cl, s_cl = halfspace_project_slack(inst)
 
-        def slack_obj(y, a=a, w0=w0, s0=s0, delta=delta):
-            return float(np.sum((y[:-1] - w0) ** 2)) + delta * (y[-1] - s0) ** 2
+        def slack_obj(y, w0=w0, s0=s0, delta=delta):
+            r = y[:-1] - w0
+            return float(r @ r) + delta * (y[-1] - s0) ** 2
 
         coef = np.concatenate([a, [-1.0]])
         rhs = float(a @ w0) - c
@@ -161,9 +165,8 @@ def suite_projections(instances: int = 1000, tol: float = 1e-6) -> list[Property
         y_cl = max_linear_prox(y0, a, c, beta)
 
         def hinge_obj(y, a=a, c=c, y0=y0, beta=beta):
-            return positive_part(c + float(a @ (y - y0))) + float(np.sum((y - y0) ** 2)) / (
-                2.0 * beta
-            )
+            r = y - y0
+            return positive_part(c + float(a @ r)) + float(r @ r) / (2.0 * beta)
 
         # the objective depends on y only through a.(y - y0) and ||y - y0||,
         # so the minimizer lies on the ray y0 - t a; scan t by golden section

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuvalkit.bench import reference_solve
+from fuvalkit.bench import ReferenceSolution, reference_solve
 from fuvalkit.dataio import SyntheticMode, SyntheticSpec, gen_synthetic
 from fuvalkit.optimizers import (
     GD,
@@ -33,7 +33,15 @@ from fuvalkit.optimizers import (
     sps_plus_step,
     sps_step,
 )
-from fuvalkit.problems import LossKind, loss_value, objective
+from fuvalkit.problems import (
+    DENSE_MIN_DENSITY,
+    LossKind,
+    Problem,
+    loss_grad,
+    loss_value,
+    objective,
+    per_sample_values,
+)
 from test_problems import make_problem
 
 
@@ -377,3 +385,121 @@ class TestAveraging:
         _, trace = self._trace(store=False)
         with pytest.raises(ConfigurationError):
             averaged_iterate(trace, Weighting.UNIFORM)
+
+
+def sparse_problem(kind=LossKind.LOGISTIC, n=60, d=200, nnz=3, seed=4):
+    """Rows with `nnz` random columns, every fifth row empty: density far
+    below DENSE_MIN_DENSITY, so full-data passes take the CSR path."""
+    rng = np.random.default_rng(seed)
+    lengths = np.where(np.arange(n) % 5 == 4, 0, nnz)
+    indices = np.concatenate([np.sort(rng.choice(d, k, replace=False)) for k in lengths])
+    labels = rng.choice([-1.0, 1.0], size=n) if kind is LossKind.LOGISTIC else rng.normal(size=n)
+    return Problem(
+        loss_kind=kind,
+        dim=d,
+        labels=labels,
+        indptr=np.concatenate([[0], np.cumsum(lengths)]),
+        indices=indices,
+        data=rng.normal(size=indices.size),
+    )
+
+
+def _density(problem):
+    return problem.indices.size / (problem.n * problem.dim)
+
+
+PARITY_PROBLEMS = {
+    "dense": lambda: gen_synthetic(SyntheticSpec(n=40, d=6, seed=5, mode=SyntheticMode.LOGISTIC))[0],
+    "sparse": sparse_problem,
+}
+
+
+class TestRunStepParity:
+    """run()'s inline steps equal a replay through the verified step
+    functions on run()'s index stream: one default_rng(seed).integers(n) per
+    step."""
+
+    LAM, DELTA, SGD_STEP, PROX_BASE, SEED, EPOCHS = 0.5, 0.2, 0.5, 1.0, 7, 3
+
+    def _replay(self, problem, kind, reference):
+        n = problem.n
+        rng = np.random.default_rng(self.SEED)
+        w = np.zeros(problem.dim)
+        s0 = np.array([loss_value(problem, i, w) for i in range(1, n + 1)])
+        state = IterateState(w=w, s=s0)
+        params = FuvalParams(constant(self.LAM), constant(self.DELTA))
+        for t in range(self.EPOCHS * n):
+            j = int(rng.integers(n)) + 1
+            if kind == "sgd":
+                w = w - self.SGD_STEP * loss_grad(problem, j, w)
+            elif kind == "sps+":
+                w = sps_plus_step(problem, reference, w, j)
+            elif kind == "fuval":
+                state, _ = fuval_step(problem, state, params, j, self.LAM, self.DELTA)
+            else:
+                lam_t = inv_sqrt(self.PROX_BASE).value(t)
+                state, _ = prox_linear_appC_step(problem, state, lam_t, 1.0, j)
+        return w if kind in ("sgd", "sps+") else state.w
+
+    @pytest.mark.parametrize("side", sorted(PARITY_PROBLEMS))
+    @pytest.mark.parametrize("kind", ["sgd", "sps+", "fuval", "proxlin"])
+    def test_run_equals_step_functions(self, side, kind):
+        problem = PARITY_PROBLEMS[side]()
+        assert (_density(problem) >= DENSE_MIN_DENSITY) == (side == "dense")
+        reference = ReferenceSolution(
+            w_star=np.zeros(problem.dim),
+            f_star=0.0,
+            per_sample_f_star=0.1 * per_sample_values(problem, np.zeros(problem.dim)),
+            grad_norm_at_solution=0.0,
+            sigma=0.0,
+            tol=1.0,
+        )
+        method = {
+            "sgd": SGD(step=self.SGD_STEP),
+            "sps+": SPSPlus(),
+            "fuval": Fuval(FuvalParams(constant(self.LAM), constant(self.DELTA))),
+            "proxlin": ProxLinearAppC(inv_sqrt(self.PROX_BASE)),
+        }[kind]
+        config = RunConfig(epochs=self.EPOCHS, seed=self.SEED, reference=reference, eval_every=problem.n)
+        trace = run(problem, method, config)
+        assert trace.status == "ok"
+        expected = self._replay(problem, kind, reference)
+        scale = float(np.max(np.abs(expected)))
+        assert scale > 0
+        assert float(np.max(np.abs(trace.final_w - expected))) <= 1e-12 * scale
+
+
+class TestDivergence:
+    # eval_t of the divergence as reported before the CSR representation
+    @pytest.mark.parametrize(
+        "method,eval_every,eval_t",
+        [(GD(step=50.0), 1000, 164), (SGD(step=50.0), 7, 35)],
+    )
+    def test_overflow_reported_at_same_step(self, method, eval_every, eval_t):
+        problem = interpolating(n=20, d=5, seed=1)
+        trace = run(problem, method, RunConfig(iterations=5000, seed=3, eval_every=eval_every))
+        assert trace.status == "diverged"
+        assert trace.eval_t[-1] == eval_t
+
+    def test_sparse_overflow_caught_at_the_step_that_writes_it(self):
+        # least-squares SGD with rare evaluations: the loss itself overflows
+        # long before w does, and the run must not raise
+        problem = sparse_problem(LossKind.LEAST_SQUARES, n=30, d=40, nnz=4, seed=2)
+        step = 5.0
+        trace = run(problem, SGD(step=step), RunConfig(iterations=100_000, seed=1, eval_every=10**6))
+        assert trace.status == "diverged"
+        rng = np.random.default_rng(1)
+        w = np.zeros(problem.dim)
+        for t in range(1, 100_001):
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = w - step * loss_grad(problem, int(rng.integers(problem.n)) + 1, w)
+            if not np.all(np.isfinite(w)):
+                break
+        assert trace.eval_t[-1] == t
+        assert not np.all(np.isfinite(trace.final_w))
+
+    def test_nonfinite_w0_rejected(self):
+        problem = interpolating()
+        w0 = np.full(problem.dim, np.nan)
+        with pytest.raises(ConfigurationError):
+            run(problem, SGD(step=0.1), RunConfig(iterations=10, w0=w0))
