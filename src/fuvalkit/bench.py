@@ -8,6 +8,7 @@ import csv
 import enum
 import io
 import math
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .optimizers import (
     ScalingScheme,
     Trace,
     Weighting,
+    _run_lockstep,
     averaged_iterate,
     constant,
     resolve_scaling,
@@ -289,37 +291,43 @@ def build_method(
     raise ConfigurationError(f"unknown method family {family!r}")
 
 
-def _run_cell(args) -> tuple[GridCell, float, float, bool, float]:
-    problem, reference, cell, iterations, epochs, seeds, eval_every = args
-    w0 = np.zeros(problem.dim)
-    finals = []
-    t_start = time.perf_counter()
-    diverged = False
-    for seed in seeds:
-        try:
-            method = build_method(cell.method_family, cell.eta, cell.scheme, problem, w0)
-        except ConfigurationError:
-            diverged = True
-            break
-        trace = run(
-            problem,
-            method,
-            RunConfig(
-                iterations=iterations,
-                epochs=epochs,
-                seed=seed,
-                reference=reference,
-                eval_every=eval_every,
-            ),
-        )
-        if trace.diverged or not math.isfinite(trace.final_subopt()):
-            diverged = True
-            break
-        finals.append(trace.final_subopt())
-    seconds = time.perf_counter() - t_start
-    if diverged:
-        return cell, math.inf, math.inf, True, seconds
-    return cell, float(np.mean(finals)), float(np.median(finals)), False, seconds
+def _run_seed(problem, reference, methods, iterations, epochs, eval_every, seed) -> list[tuple[float, float]]:
+    """(final suboptimality, seconds) of every cell at one seed; inf marks a
+    diverged cell or one whose method could not be built (None).
+
+    Full-batch cells run one by one through run(); the stochastic cells all
+    advance in one lockstep pass, and each takes an equal share of its time.
+    """
+    config = RunConfig(
+        iterations=iterations, epochs=epochs, seed=seed, reference=reference, eval_every=eval_every
+    )
+    out = [(math.inf, 0.0)] * len(methods)
+    lockstep = [k for k, m in enumerate(methods) if isinstance(m, (SGD, Fuval))]
+    for k, method in enumerate(methods):
+        if isinstance(method, (GD, FuvalFullBatch)):
+            t0 = time.perf_counter()
+            trace = run(problem, method, config)
+            final = math.inf if trace.diverged else trace.final_subopt()
+            out[k] = (final, time.perf_counter() - t0)
+    if lockstep:
+        t0 = time.perf_counter()
+        subopt, diverged = _run_lockstep(problem, [methods[k] for k in lockstep], config)
+        share = (time.perf_counter() - t0) / len(lockstep)
+        for k, sub, div in zip(lockstep, subopt.tolist(), diverged.tolist()):
+            out[k] = (math.inf if div else sub, share)
+    return [(f if math.isfinite(f) else math.inf, sec) for f, sec in out]
+
+
+_WORKER_ARGS: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
+
+
+def _run_seed_in_worker(seed: int) -> list[tuple[float, float]]:
+    return _run_seed(*_WORKER_ARGS, seed)
 
 
 def grid_search(
@@ -338,6 +346,8 @@ def grid_search(
 
     GD and SGD have no scaling scheme; the slack-learning families get one
     row per scheme.  Divergence is recorded as an infinite row, never raised.
+    Each seed is one unit of work; `jobs` > 1 runs the seeds in a process
+    pool that receives the problem once per worker.
     """
     etas = np.asarray(eta_grid, dtype=float)
     if etas.size == 0:
@@ -352,17 +362,34 @@ def grid_search(
         for scheme in cell_schemes:
             for eta in np.sort(etas):
                 cells.append(GridCell(family, scheme, float(eta)))
+    cells.sort(key=lambda c: (c.method_family, _scheme_name(c.scheme), c.eta))
 
-    args = [(problem, reference, c, iterations, epochs, seeds, eval_every) for c in cells]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, args))
+    w0 = np.zeros(problem.dim)
+    methods = []
+    for cell in cells:
+        try:
+            methods.append(build_method(cell.method_family, cell.eta, cell.scheme, problem, w0))
+        except ConfigurationError:
+            methods.append(None)
+
+    shared = (problem, reference, methods, iterations, epochs, eval_every)
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=shared,
+        ) as pool:
+            per_seed = list(pool.map(_run_seed_in_worker, seeds))
     else:
-        results = [_run_cell(a) for a in args]
+        per_seed = [_run_seed(*shared, seed) for seed in seeds]
 
-    results.sort(key=lambda r: (r[0].method_family, _scheme_name(r[0].scheme), r[0].eta))
     table = SensitivityTable()
-    for cell, mean, median, diverged, seconds in results:
+    for k, cell in enumerate(cells):
+        finals = [results[k][0] for results in per_seed]
+        diverged = any(math.isinf(f) for f in finals)
+        mean, median = (math.inf, math.inf) if diverged else (float(np.mean(finals)), float(np.median(finals)))
         table.rows.append(
             SensitivityRow(
                 method=cell.method_family,
@@ -371,7 +398,7 @@ def grid_search(
                 subopt_mean=mean,
                 subopt_median=median,
                 diverged=diverged,
-                seconds=seconds,
+                seconds=sum(results[k][1] for results in per_seed),
             )
         )
     return table
@@ -430,6 +457,8 @@ def meta_sidecar(meta: dict) -> str:
         "scheme",
         "reference_f_star",
         "reference_tol",
+        "reference_converged",
+        "reference_grad_norm",
     ]
     lines = []
     for key in keys:

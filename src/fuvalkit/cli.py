@@ -156,15 +156,23 @@ def get_reference(
         path = Path(reference)
         if not path.exists():
             _fail_config(f"--reference: no such file {reference!r}")
-        return load_reference(path)
-    if solve_reference:
+        ref = load_reference(path)
+    elif solve_reference:
         cache = reference_cache_path(problem, tol, out_dir)
         if cache.exists():
-            return load_reference(cache)
-        ref = reference_solve(problem, tol=tol)
-        save_reference(ref, cache)
-        return ref
-    return None
+            ref = load_reference(cache)
+        else:
+            ref = reference_solve(problem, tol=tol)
+            save_reference(ref, cache)
+    else:
+        return None
+    if not ref.converged:
+        click.echo(
+            f"warning: the reference is NOT converged (|g| = {ref.grad_norm_at_solution:.3g} > "
+            f"tol {ref.tol:.3g}); suboptimalities are measured against it",
+            err=True,
+        )
+    return ref
 
 
 def build_method_spec(
@@ -319,6 +327,9 @@ def fit(
         _fail_config(str(exc))
 
     trace.meta.setdefault("scheme", scheme)
+    if ref is not None:
+        trace.meta["reference_converged"] = ref.converged
+        trace.meta["reference_grad_norm"] = ref.grad_norm_at_solution
     stem = f"{method.replace('+', 'plus')}-{scheme}-eta{eta:g}-seed{seed}"
     export_csv(trace, out_dir / f"{stem}.csv")
     final = trace.final_subopt()

@@ -16,6 +16,8 @@ from .problems import (
     ContractViolation,
     Problem,
     SampleConstants,
+    _grad_coef,
+    _loss,
     loss_grad,
     loss_grad_coef,
     loss_value,
@@ -313,6 +315,9 @@ def initial_slack(problem: Problem, w0: np.ndarray, s_init: SInit | np.ndarray) 
     if isinstance(s_init, np.ndarray):
         if s_init.shape != (problem.n,):
             raise ConfigurationError("custom slack initialization has wrong length")
+        # positive_part(nan) is 0, so a NaN slack would pin its sample's tau at 0
+        if not np.all(np.isfinite(s_init)):
+            raise ConfigurationError("custom slack initialization must be finite")
         return s_init.astype(float).copy()
     if s_init is SInit.ZEROS:
         return np.zeros(problem.n)
@@ -554,6 +559,87 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
         final_s=s.copy() if needs_slack else None,
         seconds=seconds,
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # divergence is detected explicitly
+def _run_lockstep(
+    problem: Problem, methods: list[SGD | Fuval], config: RunConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final suboptimality and diverged flag of each method, all advanced
+    together on one index stream; each cell equals `run(problem, method,
+    config)` bit for bit.
+
+    Every step draws one sample, gathers its columns of all K iterates into a
+    C-contiguous (K, m) block (the Fortran-ordered gather would take BLAS's
+    strided dot and round differently from run()), does each cell's scalar
+    math with run()'s helpers, and writes the K updates back at once. A cell
+    that diverges by run()'s rules is masked; the others go on.
+    """
+    n, K = problem.n, len(methods)
+    if not all(isinstance(m, (SGD, Fuval)) for m in methods):
+        raise ConfigurationError("the lockstep pass runs only SGD and Fuval")
+    total = config.total_steps(n)
+    rng = np.random.default_rng(config.seed)
+    w0 = np.zeros(problem.dim) if config.w0 is None else config.w0.astype(float)
+    if not np.all(np.isfinite(w0)):
+        raise ConfigurationError("w0 must be finite")
+    W = np.tile(w0, (K, 1))
+    S = np.zeros((K, n))
+    for k, m in enumerate(methods):
+        if isinstance(m, Fuval):
+            S[k] = initial_slack(problem, w0, m.params.s_init)
+    f_star = float(config.reference.f_star) if config.reference is not None else math.nan
+    kind, labels, norms_sq = problem.loss_kind, problem.labels, row_norms_sq(problem)
+
+    subopt = np.full(K, math.nan)
+    alive = np.ones(K, dtype=bool)
+    live = list(range(K))
+    coefs = np.zeros(K)  # each cell's multiple of the sampled row this step
+    slack_steps = np.zeros(K)
+
+    def mask(dead):
+        alive[dead] = False
+        subopt[dead] = math.inf
+        coefs[dead] = slack_steps[dead] = 0.0
+        live[:] = np.flatnonzero(alive).tolist()
+
+    for t in range(total):
+        if not live:
+            break
+        j = int(rng.integers(n)) + 1
+        cols, vals = problem.row(j)
+        y, row_sq = float(labels[j - 1]), norms_sq[j - 1]
+        block = np.ascontiguousarray(W[:, cols])
+        for k in live:
+            m = methods[k]
+            z = float(vals @ block[k])
+            coef = _grad_coef(kind, y, z)
+            if isinstance(m, SGD):
+                coefs[k] = m.step * coef
+                continue
+            p = m.params
+            lam_t = p.lambda_schedule.value(t)
+            delta_t = p.delta_schedule.value(t)
+            g_sq = coef * coef * row_sq
+            tau = fuval_tau(_loss(kind, y, z), float(S[k, j - 1]), g_sq, lam_t, delta_t, p.c_penalty)
+            coefs[k] = p.gamma * tau * lam_t * coef
+            slack_steps[k] = p.gamma * delta_t * (tau - 1.0)
+        block -= coefs[:, None] * vals
+        W[:, cols] = block
+        S[:, j - 1] += slack_steps
+
+        dead = alive & ~np.isfinite(block).all(axis=1)
+        if dead.any():
+            mask(dead)
+        if ((t + 1) % config.eval_every == 0) or (t + 1 == total):
+            for k in live:
+                f = objective(problem, W[k])
+                if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
+                    dead[k] = True
+                subopt[k] = f - f_star
+            if dead.any():
+                mask(dead)
+    return subopt, ~alive
 
 
 # ---------------------------------------------------------------------------

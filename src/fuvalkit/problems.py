@@ -212,14 +212,18 @@ def _grad_coef(loss_kind: LossKind, y: float, z: float) -> float:
     return z - y
 
 
-def loss_value(problem: Problem, i: int, w: np.ndarray) -> float:
-    """Value of the i-th loss term at w (i is 1-based)."""
-    y, cols, vals = _check_args(problem, i, w)
-    z = float(vals @ w[cols])
-    if problem.loss_kind is LossKind.LOGISTIC:
+def _loss(loss_kind: LossKind, y: float, z: float) -> float:
+    """Loss of label y at the row dot product z."""
+    if loss_kind is LossKind.LOGISTIC:
         return _log1pexp(-y * z)
     r = z - y
     return 0.5 * (r * r)  # r ** 2 would raise OverflowError past 1.3e154
+
+
+def loss_value(problem: Problem, i: int, w: np.ndarray) -> float:
+    """Value of the i-th loss term at w (i is 1-based)."""
+    y, cols, vals = _check_args(problem, i, w)
+    return _loss(problem.loss_kind, y, float(vals @ w[cols]))
 
 
 def loss_grad(problem: Problem, i: int, w: np.ndarray) -> np.ndarray:

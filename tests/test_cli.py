@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fuvalkit.cli import main, parse_eta_grid, parse_synthetic_spec
+from fuvalkit.cli import load_problem, main, parse_eta_grid, parse_synthetic_spec
 from fuvalkit.dataio import SyntheticMode
 
 
@@ -63,6 +63,72 @@ class TestReference:
         )
         assert result.exit_code == 0, result.output
         assert list(tmp_path.glob("ref-*.npz"))
+
+
+class TestNonConvergedReference:
+    """A reference that did not reach its tolerance is used, with a warning
+    on stderr; fit records its state in the .meta sidecar."""
+
+    SYNTH = "logistic:n=20,d=3,seed=1"
+
+    def _save(self, path):
+        from fuvalkit.bench import reference_solve
+        from fuvalkit.cli import save_reference
+
+        problem = load_problem(None, self.SYNTH, "logistic")
+        ref = reference_solve(problem, tol=1e-10, max_iters=3)
+        assert not ref.converged
+        save_reference(ref, path)
+        return ref
+
+    def _assert_warned(self, result, ref):
+        assert result.exit_code == 0, result.output
+        assert "NOT converged" in result.stderr
+        assert f"|g| = {ref.grad_norm_at_solution:.3g}" in result.stderr
+        assert "tol 1e-10" in result.stderr
+
+    def test_fit_warns_and_records_in_meta(self, runner, tmp_path):
+        ref = self._save(tmp_path / "ref.npz")
+        result = runner.invoke(
+            main,
+            ["fit", "--synthetic", self.SYNTH, "--method", "sgd", "--eta", "0.1", "--iterations", "20",
+             "--out", str(tmp_path), "--reference", str(tmp_path / "ref.npz")],
+        )
+        self._assert_warned(result, ref)
+        meta = next(tmp_path.glob("sgd-*.meta")).read_text().split("\n")
+        assert "reference_converged=False" in meta
+        assert f"reference_grad_norm={ref.grad_norm_at_solution:.17g}" in meta
+
+    def test_grid_warns_for_a_reference_file(self, runner, tmp_path):
+        ref = self._save(tmp_path / "ref.npz")
+        result = runner.invoke(
+            main,
+            ["grid", "--synthetic", self.SYNTH, "--methods", "sgd", "--eta-grid", "0.1", "--iterations", "20",
+             "--jobs", "1", "--out", str(tmp_path / "s.csv"), "--reference", str(tmp_path / "ref.npz")],
+        )
+        self._assert_warned(result, ref)
+
+    def test_grid_warns_for_a_cached_reference(self, runner, tmp_path):
+        from fuvalkit.cli import reference_cache_path
+
+        problem = load_problem(None, self.SYNTH, "logistic")
+        ref = self._save(reference_cache_path(problem, 1e-10, tmp_path))
+        result = runner.invoke(
+            main,
+            ["grid", "--synthetic", self.SYNTH, "--methods", "sgd", "--eta-grid", "0.1", "--iterations", "20",
+             "--jobs", "1", "--out", str(tmp_path / "s.csv")],
+        )
+        self._assert_warned(result, ref)
+
+    def test_converged_reference_gives_no_warning(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--method", "sgd", "--eta", "0.1",
+             "--iterations", "20", "--out", str(tmp_path), "--solve-reference"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "warning" not in result.stderr
+        assert "reference_converged=True" in next(tmp_path.glob("sgd-*.meta")).read_text()
 
 
 class TestFit:

@@ -251,6 +251,18 @@ class TestInitialSlack:
         with pytest.raises(ConfigurationError):
             initial_slack(problem, np.zeros(problem.dim), np.zeros(problem.n + 1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_custom_vector_rejected(self, bad):
+        # positive_part(nan) is 0: a NaN slack would silently pin tau at 0
+        problem = make_problem()
+        custom = np.zeros(problem.n)
+        custom[3] = bad
+        with pytest.raises(ConfigurationError):
+            initial_slack(problem, np.zeros(problem.dim), custom)
+        method = Fuval(FuvalParams(constant(0.1), constant(0.1), s_init=custom))
+        with pytest.raises(ConfigurationError):
+            run(problem, method, RunConfig(iterations=10))
+
 
 class TestRunLoop:
     def test_identical_config_bit_identical_trace(self):
