@@ -318,6 +318,7 @@ def _run_seed(problem, reference, methods, iterations, epochs, eval_every, seed)
     return [(f if math.isfinite(f) else math.inf, sec) for f, sec in out]
 
 
+# the shared grid arguments, set once in each pool worker by _init_worker
 _WORKER_ARGS: tuple = ()
 
 
