@@ -9,7 +9,6 @@ import enum
 import io
 import math
 import multiprocessing
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +89,7 @@ def reference_solve(
     f = objective(problem, w)
     step = 1.0
     armijo = 0.5e-4
+    converged = True
     for _ in range(max_iters):
         g = objective_grad(problem, w)
         g_norm = float(np.linalg.norm(g))
@@ -105,30 +105,19 @@ def reference_solve(
             step *= 0.5
         w = w - step * g
         f = f_new
-    else:
+    else:  # the cap was hit: report the gradient at the last iterate
         g_norm = float(np.linalg.norm(objective_grad(problem, w)))
-        per_sample = per_sample_values(problem, w)
-        consts = sample_constants(problem)
-        return ReferenceSolution(
-            w_star=w,
-            f_star=f,
-            per_sample_f_star=per_sample,
-            grad_norm_at_solution=g_norm,
-            sigma=f - float(np.mean(consts.inf_fi)),
-            tol=tol,
-            converged=False,
-        )
+        converged = False
 
-    per_sample = per_sample_values(problem, w)
     consts = sample_constants(problem)
     return ReferenceSolution(
         w_star=w,
         f_star=f,
-        per_sample_f_star=per_sample,
+        per_sample_f_star=per_sample_values(problem, w),
         grad_norm_at_solution=g_norm,
         sigma=f - float(np.mean(consts.inf_fi)),
         tol=tol,
-        converged=True,
+        converged=converged,
     )
 
 
@@ -220,10 +209,6 @@ def rate_fit_slope(ts: np.ndarray, values: np.ndarray, floor: float = 1e-18) -> 
     return float(slope)
 
 
-def min_so_far(values: np.ndarray) -> np.ndarray:
-    return np.minimum.accumulate(values)
-
-
 # ---------------------------------------------------------------------------
 # grid search
 
@@ -301,21 +286,16 @@ def _run_seed(problem, reference, methods, iterations, epochs, eval_every, seed)
     config = RunConfig(
         iterations=iterations, epochs=epochs, seed=seed, reference=reference, eval_every=eval_every
     )
-    out = [(math.inf, 0.0)] * len(methods)
-    lockstep = [k for k, m in enumerate(methods) if isinstance(m, (SGD, Fuval))]
-    for k, method in enumerate(methods):
-        if isinstance(method, (GD, FuvalFullBatch)):
-            t0 = time.perf_counter()
-            trace = run(problem, method, config)
-            final = math.inf if trace.diverged else trace.final_subopt()
-            out[k] = (final, time.perf_counter() - t0)
+    traces = {k: run(problem, m, config) for k, m in enumerate(methods) if isinstance(m, (GD, FuvalFullBatch))}
+    lockstep = [k for k, m in enumerate(methods) if m is not None and k not in traces]
     if lockstep:
-        t0 = time.perf_counter()
-        subopt, diverged = _run_lockstep(problem, [methods[k] for k in lockstep], config)
-        share = (time.perf_counter() - t0) / len(lockstep)
-        for k, sub, div in zip(lockstep, subopt.tolist(), diverged.tolist()):
-            out[k] = (math.inf if div else sub, share)
-    return [(f if math.isfinite(f) else math.inf, sec) for f, sec in out]
+        traces.update(zip(lockstep, _run_lockstep(problem, [methods[k] for k in lockstep], config)))
+    out = []
+    for k in range(len(methods)):
+        trace = traces.get(k)
+        final = math.inf if trace is None or trace.diverged else trace.final_subopt()
+        out.append((final if math.isfinite(final) else math.inf, trace.seconds if trace else 0.0))
+    return out
 
 
 # the shared grid arguments, set once in each pool worker by _init_worker

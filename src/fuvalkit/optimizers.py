@@ -19,7 +19,6 @@ from .problems import (
     _grad_coef,
     _loss,
     loss_grad,
-    loss_grad_coef,
     loss_value,
     objective,
     objective_grad,
@@ -150,24 +149,41 @@ class GD:
     step: float
 
 
+# Each stochastic method is one scalar rule, `rule(t, f_j, g_sq, s_j)`: from
+# the sampled loss f_j, the squared gradient norm g_sq = ||grad f_j||^2 and the
+# slack s_j at step t, it returns (step, tau, slack change). The update is
+# w -= step * grad f_j and s_j += slack change. SPS and SPS+ learn no slack:
+# they read the per-sample optimum f*_j in its place and leave it unchanged.
+
+
 @dataclass(frozen=True)
 class SGD:
     step: float
 
+    def rule(self, t: int, f_j: float, g_sq: float, s_j: float) -> tuple[float, float, float]:
+        return self.step, math.nan, 0.0
+
 
 @dataclass(frozen=True)
 class SPS:
-    pass
+    def rule(self, t: int, f_j: float, g_sq: float, f_star_j: float) -> tuple[float, float, float]:
+        return polyak_rule(f_j, g_sq, f_star_j, clip=False)
 
 
 @dataclass(frozen=True)
 class SPSPlus:
-    pass
+    def rule(self, t: int, f_j: float, g_sq: float, f_star_j: float) -> tuple[float, float, float]:
+        return polyak_rule(f_j, g_sq, f_star_j, clip=True)
 
 
 @dataclass(frozen=True)
 class Fuval:
     params: FuvalParams
+
+    def rule(self, t: int, f_j: float, g_sq: float, s_j: float) -> tuple[float, float, float]:
+        p = self.params
+        lam_t, delta_t = p.lambda_schedule.value(t), p.delta_schedule.value(t)
+        return fuval_rule(f_j, g_sq, s_j, lam_t, delta_t, p.gamma, p.c_penalty)
 
 
 @dataclass(frozen=True)
@@ -183,6 +199,9 @@ class ProxLinearAppC:
     def __post_init__(self):
         if self.c_penalty < 1.0:
             raise ConfigurationError("penalty multiplier must be >= 1")
+
+    def rule(self, t: int, f_j: float, g_sq: float, s_j: float) -> tuple[float, float, float]:
+        return prox_linear_rule(f_j, g_sq, s_j, self.lambda_schedule.value(t), self.c_penalty)
 
 
 MethodSpec = GD | SGD | SPS | SPSPlus | Fuval | FuvalFullBatch | ProxLinearAppC
@@ -207,7 +226,37 @@ class StepRecord:
 
 
 # ---------------------------------------------------------------------------
-# single-step updates
+# scalar rules and single-step updates
+
+
+def polyak_rule(f_j: float, g_sq: float, f_star_j: float, clip: bool) -> tuple[float, float, float]:
+    """SPS: the gap f_j - f*_j over g_sq, or no step at a zero gradient. SPS+
+    (clip) takes the gap's positive part, so its stepsize stays >= 0."""
+    if g_sq <= ZERO_GRAD_SQ:
+        return 0.0, math.nan, 0.0
+    gap = f_j - f_star_j
+    return (positive_part(gap) if clip else gap) / g_sq, math.nan, 0.0
+
+
+def fuval_tau(f_j: float, s_j: float, grad_sq: float, lam_t: float, delta_t: float, c: float) -> float:
+    """Dimensionless step multiplier, clamped to [0, c]."""
+    ratio = positive_part(f_j - s_j + delta_t) / (delta_t + lam_t * grad_sq)
+    return min(c, ratio)
+
+
+def fuval_rule(
+    f_j: float, g_sq: float, s_j: float, lam_t: float, delta_t: float, gamma: float, c: float
+) -> tuple[float, float, float]:
+    """FUVAL: SPS+ toward a learned slack, at the two scales lambda and delta."""
+    tau = fuval_tau(f_j, s_j, g_sq, lam_t, delta_t, c)
+    return gamma * tau * lam_t, tau, gamma * delta_t * (tau - 1.0)
+
+
+def prox_linear_rule(f_j: float, g_sq: float, s_j: float, lam_t: float, c: float) -> tuple[float, float, float]:
+    """Single-scale prox-linear step; equals the two-scale step after the
+    identification tau_here = lam_t * tau_two_scale."""
+    tau = min(lam_t * c, positive_part(f_j - s_j + lam_t) / (g_sq + 1.0))
+    return tau, tau, tau - lam_t
 
 
 def _require_reference(reference: Any):
@@ -215,32 +264,34 @@ def _require_reference(reference: Any):
         raise ConfigurationError("this method needs a reference solution with per-sample optima")
 
 
-def sps_step(problem: Problem, reference: Any, w: np.ndarray, i: int) -> np.ndarray:
-    """Polyak step toward the known per-sample optimum (step may be negative)."""
+def _polyak_step(problem: Problem, reference: Any, w: np.ndarray, i: int, clip: bool) -> np.ndarray:
     _require_reference(reference)
     g = loss_grad(problem, i, w)
-    g_sq = float(g @ g)
-    if g_sq <= ZERO_GRAD_SQ:
-        return w.copy()
-    gap = loss_value(problem, i, w) - float(reference.per_sample_f_star[i - 1])
-    return w - (gap / g_sq) * g
+    f_star_i = float(reference.per_sample_f_star[i - 1])
+    step, _, _ = polyak_rule(loss_value(problem, i, w), float(g @ g), f_star_i, clip)
+    return w - step * g
+
+
+def sps_step(problem: Problem, reference: Any, w: np.ndarray, i: int) -> np.ndarray:
+    """Polyak step toward the known per-sample optimum (step may be negative)."""
+    return _polyak_step(problem, reference, w, i, clip=False)
 
 
 def sps_plus_step(problem: Problem, reference: Any, w: np.ndarray, i: int) -> np.ndarray:
     """Polyak step with the gap clipped at zero, so the stepsize stays >= 0."""
-    _require_reference(reference)
-    g = loss_grad(problem, i, w)
+    return _polyak_step(problem, reference, w, i, clip=True)
+
+
+def _slack_step(problem: Problem, state: IterateState, j: int, rule) -> tuple[IterateState, StepRecord]:
+    """Apply `rule(f_j, g_sq, s_j)` to the state at sample j."""
+    f_j = loss_value(problem, j, state.w)
+    g = loss_grad(problem, j, state.w)
     g_sq = float(g @ g)
-    if g_sq <= ZERO_GRAD_SQ:
-        return w.copy()
-    gap = positive_part(loss_value(problem, i, w) - float(reference.per_sample_f_star[i - 1]))
-    return w - (gap / g_sq) * g
-
-
-def fuval_tau(f_j: float, s_j: float, grad_sq: float, lam_t: float, delta_t: float, c: float) -> float:
-    """Dimensionless step multiplier, clamped to [0, c]."""
-    ratio = positive_part(f_j - s_j + delta_t) / (delta_t + lam_t * grad_sq)
-    return min(c, ratio)
+    step, tau, slack_change = rule(f_j, g_sq, float(state.s[j - 1]))
+    s = state.s.copy()
+    s[j - 1] += slack_change
+    record = StepRecord(sample=j, tau=tau, f_sample=f_j, grad_sq=g_sq, stepsize=step)
+    return IterateState(w=state.w - step * g, s=s, t=state.t + 1), record
 
 
 def fuval_step(
@@ -254,17 +305,9 @@ def fuval_step(
     """One stochastic slack-learning step on sample j."""
     if lam_t <= 0 or delta_t <= 0:
         raise ContractViolation("step scales must be positive")
-    f_j = loss_value(problem, j, state.w)
-    g = loss_grad(problem, j, state.w)
-    g_sq = float(g @ g)
-    tau = fuval_tau(f_j, float(state.s[j - 1]), g_sq, lam_t, delta_t, params.c_penalty)
-    w = state.w - params.gamma * tau * lam_t * g
-    s = state.s.copy()
-    s[j - 1] += params.gamma * delta_t * (tau - 1.0)
-    record = StepRecord(
-        sample=j, tau=tau, f_sample=f_j, grad_sq=g_sq, stepsize=params.gamma * tau * lam_t
+    return _slack_step(
+        problem, state, j, lambda f, g_sq, s: fuval_rule(f, g_sq, s, lam_t, delta_t, params.gamma, params.c_penalty)
     )
-    return IterateState(w=w, s=s, t=state.t + 1), record
 
 
 def fuval_full_batch_step(
@@ -278,13 +321,11 @@ def fuval_full_batch_step(
     """Full-batch variant with a scalar slack; returns (w', s', tau)."""
     if lam_t <= 0 or delta_t <= 0:
         raise ContractViolation("step scales must be positive")
-    f_w = objective(problem, w)
     g = objective_grad(problem, w)
-    g_sq = float(g @ g)
-    tau = fuval_tau(f_w, s, g_sq, lam_t, delta_t, params.c_penalty)
-    w_new = w - params.gamma * tau * lam_t * g
-    s_new = s + params.gamma * delta_t * (tau - 1.0)
-    return w_new, s_new, tau
+    step, tau, slack_change = fuval_rule(
+        objective(problem, w), float(g @ g), s, lam_t, delta_t, params.gamma, params.c_penalty
+    )
+    return w - step * g, s + slack_change, tau
 
 
 def prox_linear_appC_step(
@@ -294,21 +335,12 @@ def prox_linear_appC_step(
     c: float,
     j: int,
 ) -> tuple[IterateState, StepRecord]:
-    """Single-scale prox-linear step; equals the two-scale step after the
-    identification tau_here = lam_t * tau_two_scale."""
+    """Single-scale prox-linear step on sample j (see prox_linear_rule)."""
     if lam_t <= 0:
         raise ContractViolation("step scale must be positive")
     if c < 1:
         raise ContractViolation("penalty multiplier must be >= 1")
-    f_j = loss_value(problem, j, state.w)
-    g = loss_grad(problem, j, state.w)
-    g_sq = float(g @ g)
-    tau = min(lam_t * c, positive_part(f_j - float(state.s[j - 1]) + lam_t) / (g_sq + 1.0))
-    w = state.w - tau * g
-    s = state.s.copy()
-    s[j - 1] += tau - lam_t
-    record = StepRecord(sample=j, tau=tau, f_sample=f_j, grad_sq=g_sq, stepsize=tau)
-    return IterateState(w=w, s=s, t=state.t + 1), record
+    return _slack_step(problem, state, j, lambda f, g_sq, s: prox_linear_rule(f, g_sq, s, lam_t, c))
 
 
 def initial_slack(problem: Problem, w0: np.ndarray, s_init: SInit | np.ndarray) -> np.ndarray:
@@ -355,7 +387,6 @@ class Trace:
     subopt: np.ndarray
     grad_sq: np.ndarray
     stepsize: np.ndarray
-    dist_to_ref: np.ndarray
     status: str
     meta: dict
     iterates: np.ndarray | None = None
@@ -393,253 +424,197 @@ def _method_meta(method: MethodSpec) -> dict:
     }
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence is detected explicitly
+def _initial_w(problem: Problem, config: RunConfig) -> np.ndarray:
+    w = np.zeros(problem.dim) if config.w0 is None else config.w0.astype(float).copy()
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("w0 must be finite")
+    return w
+
+
+class _TraceLog:
+    """One run's evaluation records, stored iterates and status, and their
+    assembly into a Trace; the full-batch loop and the stochastic pass share it."""
+
+    def __init__(self, problem: Problem, method: MethodSpec, config: RunConfig, w0: np.ndarray):
+        self.problem, self.method, self.config = problem, method, config
+        self.total = config.total_steps(problem.n)
+        self.f_star = float(config.reference.f_star) if config.reference is not None else math.nan
+        self.records: list[tuple] = []
+        self.iterates = [w0.copy()] if config.store_iterates else None
+        self.last = (0, math.nan, math.nan, math.nan)  # sample, tau, grad_sq, stepsize
+        self.status = "ok"
+
+    def record(self, t: int, w: np.ndarray) -> float:
+        f = objective(self.problem, w)
+        j, tau, g_sq, step = self.last
+        self.records.append((t, j, tau, f, f - self.f_star, g_sq, step))
+        return f
+
+    def after_step(self, t: int, w: np.ndarray, finite: bool) -> bool:
+        """Store w after step t and record it when due, or at once when the
+        step wrote a NaN/Inf entry; False when the run has diverged."""
+        if self.iterates is not None:
+            self.iterates.append(w.copy())
+        if not finite:
+            self.status = "diverged"
+            self.record(t + 1, w)
+            return False
+        if (t + 1) % self.config.eval_every == 0 or t + 1 == self.total:
+            f = self.record(t + 1, w)
+            if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
+                self.status = "diverged"
+                return False
+        return True
+
+    def trace(self, w: np.ndarray, s: np.ndarray | None, seconds: float) -> Trace:
+        method, config = self.method, self.config
+        arr = np.array(self.records, dtype=float)
+        lambdas = None
+        if config.store_iterates:
+            # the lambda schedule of fuval, fuval-full and prox-linear; empty for the others
+            schedule = getattr(getattr(method, "params", method), "lambda_schedule", None)
+            steps = int(arr[-1, 0])
+            lambdas = np.array([schedule.value(t) for t in range(steps)] if schedule else [])
+        meta = {
+            "seed": config.seed,
+            "T": self.total,
+            "status": self.status,
+            "reference_f_star": self.f_star,
+            "reference_tol": getattr(config.reference, "tol", math.nan),
+        }
+        meta.update(_method_meta(method))
+        return Trace(
+            eval_t=arr[:, 0].astype(int),
+            sample=arr[:, 1].astype(int),
+            tau=arr[:, 2],
+            f=arr[:, 3],
+            subopt=arr[:, 4],
+            grad_sq=arr[:, 5],
+            stepsize=arr[:, 6],
+            status=self.status,
+            meta=meta,
+            iterates=np.array(self.iterates) if self.iterates is not None else None,
+            lambdas=lambdas,
+            final_w=w.copy(),
+            final_s=s.copy() if isinstance(method, (Fuval, ProxLinearAppC)) else None,
+            seconds=seconds,
+        )
+
+
 def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
     """Execute a method for the configured number of steps.
 
     Index sampling is i.i.d. uniform from a generator seeded by config.seed,
     so identical configs give bit-identical traces.  A NaN/Inf objective,
     or a NaN/Inf entry written into w, halts the run with a diverged status.
+    A stochastic method runs as the single cell of the lockstep pass.
     """
-    n, d = problem.n, problem.dim
-    total = config.total_steps(n)
-    rng = np.random.default_rng(config.seed)
-    reference = config.reference
-
-    if isinstance(method, (SPS, SPSPlus)) and reference is None:
-        raise ConfigurationError("SPS/SPS+ need a reference solution")
-    if reference is not None and getattr(reference, "converged", True) is False:
-        if isinstance(method, (SPS, SPSPlus)):
-            raise ConfigurationError("SPS/SPS+ refuse a non-converged reference")
-
-    w = np.zeros(d) if config.w0 is None else config.w0.astype(float).copy()
-    if not np.all(np.isfinite(w)):
-        raise ConfigurationError("w0 must be finite")
-
-    needs_slack = isinstance(method, (Fuval, ProxLinearAppC))
-    if isinstance(method, Fuval):
-        s = initial_slack(problem, w, method.params.s_init)
-    elif isinstance(method, ProxLinearAppC):
-        s = initial_slack(problem, w, SInit.AT_W0)
-    else:
-        s = np.zeros(0)
-    if isinstance(method, FuvalFullBatch):
-        s_scalar = objective(problem, w) if method.params.s_init is SInit.AT_W0 else 0.0
-
-    f_star = float(reference.f_star) if reference is not None else math.nan
-    w_star = np.asarray(reference.w_star) if reference is not None else None
-    per_sample_star = (
-        np.asarray(reference.per_sample_f_star) if reference is not None else None
-    )
-    norms_sq = row_norms_sq(problem)
-
-    records: list[tuple] = []
-    iterates = [w.copy()] if config.store_iterates else None
-    lambdas: list[float] = [] if config.store_iterates else None
-    status = "ok"
-    last = (0, math.nan, math.nan, math.nan, math.nan)  # sample, tau, f_j, g_sq, step
-
-    def evaluate(t: int):
-        f = objective(problem, w)
-        sub = f - f_star if reference is not None else math.nan
-        dist = float(np.linalg.norm(w - w_star)) if w_star is not None else math.nan
-        records.append((t, last[0], last[1], f, sub, last[3], last[4], dist))
-        return f
-
-    t0 = time.perf_counter()
-    f = evaluate(0)
-    gamma = method.params.gamma if isinstance(method, (Fuval, FuvalFullBatch)) else 1.0
-
-    for t in range(total):
-        if isinstance(method, (GD, FuvalFullBatch)):
-            j = 0
-            cols = slice(None)  # a full-batch step writes all of w
-        else:
-            j = int(rng.integers(n)) + 1
-            cols, vals = problem.row(j)
-
-        if isinstance(method, GD):
-            g = objective_grad(problem, w)
-            w = w - method.step * g
-            last = (0, math.nan, math.nan, float(g @ g), method.step)
-        elif isinstance(method, SGD):
-            coef = loss_grad_coef(problem, j, w)
-            f_j = loss_value(problem, j, w)
-            w[cols] -= method.step * coef * vals
-            last = (j, math.nan, f_j, coef * coef * norms_sq[j - 1], method.step)
-        elif isinstance(method, (SPS, SPSPlus)):
-            coef = loss_grad_coef(problem, j, w)
-            g_sq = coef * coef * norms_sq[j - 1]
-            f_j = loss_value(problem, j, w)
-            if g_sq > ZERO_GRAD_SQ:
-                gap = f_j - float(per_sample_star[j - 1])
-                if isinstance(method, SPSPlus):
-                    gap = positive_part(gap)
-                step = gap / g_sq
-                w[cols] -= step * coef * vals
-            else:
-                step = 0.0
-            last = (j, math.nan, f_j, g_sq, step)
-        elif isinstance(method, Fuval):
-            p = method.params
-            lam_t = p.lambda_schedule.value(t)
-            delta_t = p.delta_schedule.value(t)
-            coef = loss_grad_coef(problem, j, w)
-            g_sq = coef * coef * norms_sq[j - 1]
-            f_j = loss_value(problem, j, w)
-            tau = fuval_tau(f_j, float(s[j - 1]), g_sq, lam_t, delta_t, p.c_penalty)
-            step = gamma * tau * lam_t
-            w[cols] -= step * coef * vals
-            s[j - 1] += gamma * delta_t * (tau - 1.0)
-            last = (j, tau, f_j, g_sq, step)
-            if lambdas is not None:
-                lambdas.append(lam_t)
-        elif isinstance(method, FuvalFullBatch):
-            p = method.params
-            lam_t = p.lambda_schedule.value(t)
-            delta_t = p.delta_schedule.value(t)
-            w, s_scalar, tau = fuval_full_batch_step(problem, w, s_scalar, p, lam_t, delta_t)
-            last = (0, tau, math.nan, math.nan, gamma * tau * lam_t)
-            if lambdas is not None:
-                lambdas.append(lam_t)
-        else:  # ProxLinearAppC
-            lam_t = method.lambda_schedule.value(t)
-            coef = loss_grad_coef(problem, j, w)
-            g_sq = coef * coef * norms_sq[j - 1]
-            f_j = loss_value(problem, j, w)
-            tau = min(
-                lam_t * method.c_penalty,
-                positive_part(f_j - float(s[j - 1]) + lam_t) / (g_sq + 1.0),
-            )
-            w[cols] -= tau * coef * vals
-            s[j - 1] += tau - lam_t
-            last = (j, tau, f_j, g_sq, tau)
-            if lambdas is not None:
-                lambdas.append(lam_t)
-
-        if iterates is not None:
-            iterates.append(w.copy())
-
-        # w was finite before this step, so it is finite exactly when the
-        # entries this step wrote are
-        if not np.isfinite(w[cols]).all():
-            status = "diverged"
-            evaluate(t + 1)
-            break
-        if ((t + 1) % config.eval_every == 0) or (t + 1 == total):
-            f = evaluate(t + 1)
-            if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
-                status = "diverged"
-                break
-
-    seconds = time.perf_counter() - t0
-    arr = np.array(records, dtype=float)
-    meta = {
-        "seed": config.seed,
-        "T": total,
-        "status": status,
-        "reference_f_star": f_star,
-        "reference_tol": getattr(reference, "tol", math.nan) if reference is not None else math.nan,
-    }
-    meta.update(_method_meta(method))
-    return Trace(
-        eval_t=arr[:, 0].astype(int),
-        sample=arr[:, 1].astype(int),
-        tau=arr[:, 2],
-        f=arr[:, 3],
-        subopt=arr[:, 4],
-        grad_sq=arr[:, 5],
-        stepsize=arr[:, 6],
-        dist_to_ref=arr[:, 7],
-        status=status,
-        meta=meta,
-        iterates=np.array(iterates) if iterates is not None else None,
-        lambdas=np.array(lambdas) if lambdas is not None else None,
-        final_w=w.copy(),
-        final_s=s.copy() if needs_slack else None,
-        seconds=seconds,
-    )
+    if isinstance(method, (GD, FuvalFullBatch)):
+        return _run_full_batch(problem, method, config)
+    return _run_lockstep(problem, [method], config)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is detected explicitly
-def _run_lockstep(
-    problem: Problem, methods: list[SGD | Fuval], config: RunConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Final suboptimality and diverged flag of each method, all advanced
-    together on one index stream; each cell equals `run(problem, method,
-    config)` bit for bit.
+def _run_full_batch(problem: Problem, method: GD | FuvalFullBatch, config: RunConfig) -> Trace:
+    w = _initial_w(problem, config)
+    log = _TraceLog(problem, method, config, w)
+    if isinstance(method, FuvalFullBatch):
+        p = method.params
+        s = objective(problem, w) if p.s_init is SInit.AT_W0 else 0.0
+    t0 = time.perf_counter()
+    log.record(0, w)
+    for t in range(log.total):
+        if isinstance(method, GD):
+            g = objective_grad(problem, w)
+            w = w - method.step * g
+            log.last = (0, math.nan, float(g @ g), method.step)
+        else:
+            lam_t = p.lambda_schedule.value(t)
+            w, s, tau = fuval_full_batch_step(problem, w, s, p, lam_t, p.delta_schedule.value(t))
+            log.last = (0, tau, math.nan, p.gamma * tau * lam_t)
+        if not log.after_step(t, w, bool(np.isfinite(w).all())):
+            break
+    return log.trace(w, None, time.perf_counter() - t0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # divergence is detected explicitly
+def _run_lockstep(problem: Problem, methods: list[MethodSpec], config: RunConfig) -> list[Trace]:
+    """Run stochastic methods side by side on one index stream. Trace k
+    equals `run(problem, methods[k], config)` bit for bit: run() of a
+    stochastic method is this pass with K = 1.
 
     Every step draws one sample, gathers its columns of all K iterates into a
     C-contiguous (K, m) block (the Fortran-ordered gather would take BLAS's
-    strided dot and round differently from run()), does each cell's scalar
-    math with run()'s helpers, and writes the K updates back at once. A cell
-    that diverges by run()'s rules is masked; the others go on.
+    strided dot and round differently), applies each cell's scalar rule and
+    writes the K updates back at once. A cell that diverges is frozen: its
+    trace ends, its row of W is zeroed so the finite check reads only live
+    cells, and the others go on. Each trace's `seconds` is the pass's wall
+    time divided by K.
     """
     n, K = problem.n, len(methods)
-    if not all(isinstance(m, (SGD, Fuval)) for m in methods):
-        raise ConfigurationError("the lockstep pass runs only SGD and Fuval")
+    if not all(isinstance(m, (SGD, SPS, SPSPlus, Fuval, ProxLinearAppC)) for m in methods):
+        raise ConfigurationError("the lockstep pass runs only stochastic methods")
     total = config.total_steps(n)
-    rng = np.random.default_rng(config.seed)
-    w0 = np.zeros(problem.dim) if config.w0 is None else config.w0.astype(float)
-    if not np.all(np.isfinite(w0)):
-        raise ConfigurationError("w0 must be finite")
+    reference = config.reference
+    if any(isinstance(m, (SPS, SPSPlus)) for m in methods):
+        if reference is None:
+            raise ConfigurationError("SPS/SPS+ need a reference solution")
+        if getattr(reference, "converged", True) is False:
+            raise ConfigurationError("SPS/SPS+ refuse a non-converged reference")
+    w0 = _initial_w(problem, config)
     W = np.tile(w0, (K, 1))
-    S = np.zeros((K, n))
+    S = np.zeros((K, n))  # slacks, or f*_j for SPS and SPS+
     for k, m in enumerate(methods):
-        if isinstance(m, Fuval):
+        if isinstance(m, (SPS, SPSPlus)):
+            S[k] = reference.per_sample_f_star
+        elif isinstance(m, Fuval):
             S[k] = initial_slack(problem, w0, m.params.s_init)
-    f_star = float(config.reference.f_star) if config.reference is not None else math.nan
-    kind, labels, norms_sq = problem.loss_kind, problem.labels, row_norms_sq(problem)
-
-    subopt = np.full(K, math.nan)
-    alive = np.ones(K, dtype=bool)
+        elif isinstance(m, ProxLinearAppC):
+            S[k] = initial_slack(problem, w0, SInit.AT_W0)
+    logs = [_TraceLog(problem, m, config, w0) for m in methods]
+    rng = np.random.default_rng(config.seed)
+    kind, labels, norms_sq = problem.loss_kind, problem.labels.tolist(), row_norms_sq(problem).tolist()
+    rules = [m.rule for m in methods]
+    store, every = config.store_iterates, config.eval_every
     live = list(range(K))
+    final: list[tuple | None] = [None] * K  # (w, s) of each frozen cell
     coefs = np.zeros(K)  # each cell's multiple of the sampled row this step
-    slack_steps = np.zeros(K)
 
-    def mask(dead):
-        alive[dead] = False
-        subopt[dead] = math.inf
-        coefs[dead] = slack_steps[dead] = 0.0
-        live[:] = np.flatnonzero(alive).tolist()
-
+    t0 = time.perf_counter()
+    for log, w in zip(logs, W):
+        log.record(0, w)
     for t in range(total):
         if not live:
             break
         j = int(rng.integers(n)) + 1
         cols, vals = problem.row(j)
-        y, row_sq = float(labels[j - 1]), norms_sq[j - 1]
-        block = np.ascontiguousarray(W[:, cols])
+        y, row_sq = labels[j - 1], norms_sq[j - 1]
+        block = W.take(cols, axis=1)  # a C-contiguous (K, m) copy
         for k in live:
-            m = methods[k]
             z = float(vals @ block[k])
             coef = _grad_coef(kind, y, z)
-            if isinstance(m, SGD):
-                coefs[k] = m.step * coef
-                continue
-            p = m.params
-            lam_t = p.lambda_schedule.value(t)
-            delta_t = p.delta_schedule.value(t)
             g_sq = coef * coef * row_sq
-            tau = fuval_tau(_loss(kind, y, z), float(S[k, j - 1]), g_sq, lam_t, delta_t, p.c_penalty)
-            coefs[k] = p.gamma * tau * lam_t * coef
-            slack_steps[k] = p.gamma * delta_t * (tau - 1.0)
+            step, tau, slack_change = rules[k](t, _loss(kind, y, z), g_sq, float(S[k, j - 1]))
+            S[k, j - 1] += slack_change
+            coefs[k] = step * coef
+            logs[k].last = (j, tau, g_sq, step)
         block -= coefs[:, None] * vals
         W[:, cols] = block
-        S[:, j - 1] += slack_steps
 
-        dead = alive & ~np.isfinite(block).all(axis=1)
-        if dead.any():
-            mask(dead)
-        if ((t + 1) % config.eval_every == 0) or (t + 1 == total):
-            for k in live:
-                f = objective(problem, W[k])
-                if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
-                    dead[k] = True
-                subopt[k] = f - f_star
-            if dead.any():
-                mask(dead)
-    return subopt, ~alive
+        # every w was finite before this step, so each is finite exactly when
+        # the entries this step wrote are
+        all_finite = bool(np.isfinite(block).all())
+        if all_finite and not store and (t + 1) % every and t + 1 != total:
+            continue  # nothing to store, record or freeze
+        for k in list(live):
+            finite = all_finite or bool(np.isfinite(block[k]).all())
+            if not logs[k].after_step(t, W[k], finite):  # freeze the cell
+                final[k] = W[k].copy(), S[k].copy()
+                W[k] = coefs[k] = 0.0
+                live.remove(k)
+
+    seconds = (time.perf_counter() - t0) / K
+    return [log.trace(*(final[k] or (W[k], S[k])), seconds) for k, log in enumerate(logs)]
 
 
 # ---------------------------------------------------------------------------

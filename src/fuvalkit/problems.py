@@ -235,7 +235,7 @@ def loss_grad(problem: Problem, i: int, w: np.ndarray) -> np.ndarray:
 
 
 def loss_grad_coef(problem: Problem, i: int, w: np.ndarray) -> float:
-    """Scalar c such that grad f_i(w) = c * x_i. Used by the run loop."""
+    """Scalar c such that grad f_i(w) = c * x_i."""
     y, cols, vals = _check_args(problem, i, w)
     return _grad_coef(problem.loss_kind, y, float(vals @ w[cols]))
 

@@ -3,7 +3,9 @@ identities, and empirical convergence bounds.
 
 The assembled updates below re-derive the slack-learning step through three
 independent routes (projection, prox of a hinged linearization, gradient step
-on the online surrogate) and exist solely to cross-check `fuval_step`.
+on the online surrogate) and exist solely to cross-check `fuval_step`. That
+step applies `fuval_rule`, the same scalar rule that run() executes, so the
+routes check the rule of the production path.
 """
 
 from __future__ import annotations

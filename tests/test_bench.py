@@ -13,7 +13,6 @@ from fuvalkit.bench import (
     export_csv,
     grid_search,
     meta_sidecar,
-    min_so_far,
     rate_fit_slope,
     reference_solve,
     sensitivity_csv,
@@ -119,11 +118,6 @@ class TestRateFit:
         ts = np.arange(10, 1000)
         vals = 5.0 / ts
         assert rate_fit_slope(ts, vals) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_min_so_far(self):
-        np.testing.assert_array_equal(
-            min_so_far(np.array([3.0, 4.0, 2.0, 5.0])), [3.0, 3.0, 2.0, 2.0]
-        )
 
 
 class TestGridSearch:

@@ -1,5 +1,6 @@
 """The sensitivity grid runs each seed's stochastic cells in one lockstep pass.
-Every row must equal build_method plus run() on its own, bit for bit."""
+Every row must equal build_method plus run() on its own, bit for bit, and
+every cell of a pass must equal run() of its method, trace for trace."""
 
 import math
 
@@ -10,13 +11,17 @@ from fuvalkit.bench import ReferenceSolution, build_method, grid_search, referen
 from fuvalkit.dataio import SyntheticMode, SyntheticSpec, gen_synthetic
 from fuvalkit.optimizers import (
     SGD,
+    SPS,
     ConfigurationError,
     Fuval,
     FuvalParams,
+    ProxLinearAppC,
     RunConfig,
     ScalingScheme,
+    SPSPlus,
     _run_lockstep,
     constant,
+    inv_sqrt,
     run,
 )
 from fuvalkit.problems import DENSE_MIN_DENSITY, LossKind, Problem, objective
@@ -74,6 +79,14 @@ def assert_rows_equal_run(table, problem, ref, seeds, **length):
         assert (row.subopt_mean, row.subopt_median, row.diverged) == expected, row
 
 
+def lockstep_finals(problem, methods, config):
+    """Final suboptimality (inf when diverged) and diverged flag of each cell
+    of one lockstep pass."""
+    traces = _run_lockstep(problem, methods, config)
+    diverged = np.array([t.diverged for t in traces])
+    return np.array([math.inf if t.diverged else t.final_subopt() for t in traces]), diverged
+
+
 def grid(problem, ref, families=FAMILIES, schemes=SCHEMES, etas=ETAS, seeds=(3,), **length):
     return grid_search(problem, ref, families, schemes, etas, seeds=list(seeds), **length)
 
@@ -116,7 +129,7 @@ def test_diverging_cell_is_masked_beside_finite_ones(least_squares_case):
     fuval = Fuval(FuvalParams(constant(0.05), constant(0.05)))
     methods = [SGD(step=0.01), SGD(step=100.0), fuval, SGD(step=0.02)]
     config = RunConfig(iterations=500, seed=1, reference=ref, eval_every=10**6)
-    subopt, diverged = _run_lockstep(problem, methods, config)
+    subopt, diverged = lockstep_finals(problem, methods, config)
     assert diverged.tolist() == [False, True, False, False]
     assert math.isinf(subopt[1])
     for k in (0, 2, 3):
@@ -129,7 +142,7 @@ def test_lockstep_reports_the_final_objective_of_each_cell(logistic_case):
     problem, ref = logistic_case
     methods = [SGD(step=0.5), Fuval(FuvalParams(constant(2.0), constant(0.1)))]
     config = RunConfig(epochs=2, seed=4, reference=ref, eval_every=5)
-    subopt, diverged = _run_lockstep(problem, methods, config)
+    subopt, diverged = lockstep_finals(problem, methods, config)
     assert not diverged.any()
     for k, method in enumerate(methods):
         final_w = run(problem, method, config).final_w
@@ -160,3 +173,72 @@ def test_parallel_seeds_equal_serial_and_run(least_squares_case):
     key = lambda r: (r.method, r.scheme, r.eta, r.subopt_mean, r.subopt_median, r.diverged)
     assert list(map(key, parallel.rows)) == list(map(key, serial.rows))
     assert_rows_equal_run(serial, problem, ref, seeds, iterations=200)
+
+
+TRACE_FIELDS = ["eval_t", "sample", "tau", "f", "subopt", "grad_sq", "stepsize", "final_w", "final_s"]
+
+
+def mixed_methods(diverging):
+    """One cell of every stochastic method and a second cell of each
+    scheduled one, with the two diverging cells among them."""
+    return [
+        SGD(step=0.05),
+        diverging[0],
+        SPS(),
+        SPSPlus(),
+        Fuval(FuvalParams(constant(0.5), constant(0.2))),
+        diverging[1],
+        ProxLinearAppC(inv_sqrt(1.0)),
+        Fuval(FuvalParams(inv_sqrt(0.5), inv_sqrt(0.5), gamma=0.5, c_penalty=2.0)),
+        ProxLinearAppC(constant(0.3), c_penalty=2.0),
+    ]
+
+
+def assert_traces_equal(trace, expected):
+    assert trace.status == expected.status
+    assert trace.meta == expected.meta
+    for name in TRACE_FIELDS:
+        a, b = getattr(trace, name), getattr(expected, name)
+        if b is None:
+            assert a is None, name
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=name)  # NaN matches NaN; no tolerance
+
+
+# per problem, an SGD step whose objective passes DIVERGENCE_LIMIT while w
+# stays finite, and one that overflows w between two evaluations
+DIVERGING = {
+    "logistic_case": (SGD(step=1e200), SGD(step=1e308)),
+    "least_squares_case": (SGD(step=1e100), SGD(step=1e200)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_mixed_pass_equals_a_lone_run_of_each_cell(case, request):
+    problem, ref = request.getfixturevalue(case)
+    assert ref.converged  # SPS and SPS+ refuse a non-converged reference
+    methods = mixed_methods(DIVERGING[case])
+    config = RunConfig(iterations=300, seed=3, reference=ref, eval_every=7)
+    traces = _run_lockstep(problem, methods, config)
+    assert [t.diverged for t in traces] == [False, True, False, False, False, True, False, False, False]
+    assert np.isfinite(traces[1].final_w).all() and not np.isfinite(traces[5].final_w).all()
+    for method, trace in zip(methods, traces):
+        assert_traces_equal(trace, run(problem, method, config))
+
+
+def test_stored_iterates_and_lambdas(least_squares_case):
+    problem, ref = least_squares_case
+    fuval = Fuval(FuvalParams(inv_sqrt(0.5), constant(0.2)))
+    proxlin = ProxLinearAppC(inv_sqrt(1.0))
+    methods = [SGD(step=0.05), fuval, proxlin, SGD(step=100.0)]
+    config = RunConfig(iterations=200, seed=1, reference=ref, eval_every=10**6, store_iterates=True)
+    traces = _run_lockstep(problem, methods, config)
+    for method, trace in zip(methods, traces):
+        expected = run(problem, method, config)
+        np.testing.assert_array_equal(trace.iterates, expected.iterates)
+        np.testing.assert_array_equal(trace.lambdas, expected.lambdas)
+    sgd, fuval_trace, proxlin_trace, diverged = traces
+    assert fuval_trace.lambdas.tolist() == [fuval.params.lambda_schedule.value(t) for t in range(200)]
+    assert proxlin_trace.lambdas.tolist() == [proxlin.lambda_schedule.value(t) for t in range(200)]
+    assert sgd.lambdas.shape == (0,) and diverged.lambdas.shape == (0,)
+    assert diverged.diverged and diverged.iterates.shape[0] == diverged.eval_t[-1] + 1

@@ -427,7 +427,7 @@ PARITY_PROBLEMS = {
 
 
 class TestRunStepParity:
-    """run()'s inline steps equal a replay through the verified step
+    """run()'s steps equal a replay through the verified step
     functions on run()'s index stream: one default_rng(seed).integers(n) per
     step."""
 
