@@ -63,14 +63,7 @@ from .projections import (
     halfspace_project_slack,
     max_linear_prox,
 )
-from .surrogate import (
-    DMetric,
-    SurrogateAnchor,
-    grad_phi_i,
-    penalty_value,
-    phi,
-    phi_i,
-)
+from .surrogate import SurrogateAnchor, grad_phi_i, penalty_value, phi_i
 
 __version__ = "0.1.0"
 

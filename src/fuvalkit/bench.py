@@ -9,6 +9,7 @@ import enum
 import io
 import math
 import multiprocessing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .optimizers import (
     GD,
     SGD,
+    SPS,
     ConfigurationError,
     Fuval,
     FuvalFullBatch,
@@ -24,6 +26,8 @@ from .optimizers import (
     ProxLinearAppC,
     RunConfig,
     ScalingScheme,
+    Schedule,
+    SPSPlus,
     Trace,
     Weighting,
     _run_lockstep,
@@ -256,19 +260,27 @@ def build_method(
     w0: np.ndarray,
     gamma: float = 1.0,
     c_penalty: float = math.inf,
+    schedule: Callable[[float], Schedule] = constant,
 ) -> MethodSpec:
-    """Instantiate a method from a grid cell, resolving the scaling scheme."""
+    """Instantiate a method by family name, resolving the scaling scheme;
+    `schedule` (constant or inv_sqrt) turns each step scale into its schedule."""
     if family == "gd":
         return GD(step=eta)
     if family == "sgd":
         return SGD(step=eta)
+    if family == "sps":
+        return SPS()
+    if family == "sps+":
+        return SPSPlus()
+    if family == "proxlin":
+        return ProxLinearAppC(lambda_schedule=schedule(eta), c_penalty=c_penalty)
     if family in ("fuval", "fuval-full"):
         lam, delta = resolve_scaling(
             scheme if scheme is not None else ScalingScheme.NAIVE, eta, problem, w0
         )
         params = FuvalParams(
-            lambda_schedule=constant(lam),
-            delta_schedule=constant(delta),
+            lambda_schedule=schedule(lam),
+            delta_schedule=schedule(delta),
             gamma=gamma,
             c_penalty=c_penalty,
         )
@@ -336,6 +348,7 @@ def grid_search(
     if np.unique(etas).size != etas.size:
         raise ConfigurationError("duplicate eta in grid")
     seeds = seeds or [0]
+    RunConfig(iterations=iterations, epochs=epochs).total_steps(problem.n)  # exactly one is set
 
     cells = []
     for family in families:

@@ -15,25 +15,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bench import ReferenceSolution, export_csv, grid_search, reference_solve
+from .bench import ReferenceSolution, build_method, export_csv, grid_search, reference_solve
 from .dataio import SyntheticMode, SyntheticSpec, gen_synthetic, parse_libsvm, serialize_libsvm
-from .optimizers import (
-    GD,
-    SGD,
-    SPS,
-    SPSPlus,
-    ConfigurationError,
-    Fuval,
-    FuvalFullBatch,
-    FuvalParams,
-    ProxLinearAppC,
-    RunConfig,
-    ScalingScheme,
-    constant,
-    inv_sqrt,
-    resolve_scaling,
-    run,
-)
+from .optimizers import ConfigurationError, RunConfig, ScalingScheme, constant, inv_sqrt, run
 from .problems import LossKind, Problem
 
 EXIT_OK = 0
@@ -175,40 +159,6 @@ def get_reference(
     return ref
 
 
-def build_method_spec(
-    method: str,
-    problem: Problem,
-    eta: float,
-    scheme: str,
-    gamma: float,
-    penalty_c: float,
-    schedule: str,
-):
-    w0 = np.zeros(problem.dim)
-    if method == "gd":
-        return GD(step=eta)
-    if method == "sgd":
-        return SGD(step=eta)
-    if method == "sps":
-        return SPS()
-    if method == "sps+":
-        return SPSPlus()
-    if method == "proxlin":
-        sched = inv_sqrt(eta) if schedule == "inv-sqrt" else constant(eta)
-        return ProxLinearAppC(lambda_schedule=sched, c_penalty=penalty_c)
-    if method in ("fuval", "fuval-full"):
-        lam, delta = resolve_scaling(ScalingScheme(scheme), eta, problem, w0)
-        make = inv_sqrt if schedule == "inv-sqrt" else constant
-        params = FuvalParams(
-            lambda_schedule=make(lam),
-            delta_schedule=make(delta),
-            gamma=gamma,
-            c_penalty=penalty_c,
-        )
-        return Fuval(params) if method == "fuval" else FuvalFullBatch(params)
-    _fail_config(f"unknown method {method!r}")
-
-
 problem_options = [
     click.option("--data", default=None, help="LIBSVM file (FUVALKIT_DATA used as fallback dir)."),
     click.option("--synthetic", default=None, help="Synthetic spec, e.g. interp:n=100,d=10,seed=1."),
@@ -309,11 +259,12 @@ def fit(
     ref = get_reference(problem, reference_path, solve_reference, ref_tol, out_dir)
     if method in ("sps", "sps+") and ref is None:
         _fail_config(f"--method {method} needs --reference or --solve-reference")
-    if (epochs is None) == (iterations is None):
-        _fail_config("specify exactly one of --epochs or --iterations")
 
     try:
-        spec = build_method_spec(method, problem, eta, scheme, gamma, penalty_c, schedule)
+        spec = build_method(
+            method, eta, ScalingScheme(scheme), problem, np.zeros(problem.dim), gamma, penalty_c,
+            inv_sqrt if schedule == "inv-sqrt" else constant,
+        )
         config = RunConfig(
             iterations=iterations,
             epochs=epochs,
@@ -350,22 +301,19 @@ def fit(
 @click.option("--seeds", default="0", show_default=True, help="Comma-separated seeds.")
 @click.option("--jobs", default=os.cpu_count() or 1, show_default="all processors")
 @click.option("--out", default="runs/sensitivity.csv", show_default=True)
-@click.option("--reference", "reference_path", default=None)
-@click.option("--solve-reference", is_flag=True, default=True, show_default=True)
+@click.option(
+    "--reference", "reference_path", default=None, help="Precomputed reference file (default: solve and cache f*)."
+)
 @click.option("--ref-tol", default=1e-10, show_default=True)
 def grid(
     data, synthetic, loss, methods, schemes, eta_grid, epochs, iterations,
-    seeds, jobs, out, reference_path, solve_reference, ref_tol,
+    seeds, jobs, out, reference_path, ref_tol,
 ):
     """Stepsize-sensitivity sweep; writes one CSV row per (method, scheme, eta)."""
     problem = load_problem(data, synthetic, loss)
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    ref = get_reference(problem, reference_path, solve_reference, ref_tol, out_path.parent)
-    if ref is None:
-        _fail_config("grid needs a reference (--reference or --solve-reference)")
-    if (epochs is None) == (iterations is None):
-        _fail_config("specify exactly one of --epochs or --iterations")
+    ref = get_reference(problem, reference_path, True, ref_tol, out_path.parent)
 
     families = [m.strip() for m in methods.split(",") if m.strip()]
     for fam in families:

@@ -144,16 +144,13 @@ class FuvalParams:
             raise ConfigurationError("penalty multiplier must be >= 1")
 
 
-@dataclass(frozen=True)
-class GD:
-    step: float
-
-
-# Each stochastic method is one scalar rule, `rule(t, f_j, g_sq, s_j)`: from
-# the sampled loss f_j, the squared gradient norm g_sq = ||grad f_j||^2 and the
-# slack s_j at step t, it returns (step, tau, slack change). The update is
+# Each method is one scalar rule, `rule(t, f_j, g_sq, s_j)`: from the sampled
+# loss f_j, the squared gradient norm g_sq = ||grad f_j||^2 and the slack s_j
+# at step t, it returns (step, tau, slack change). The update is
 # w -= step * grad f_j and s_j += slack change. SPS and SPS+ learn no slack:
 # they read the per-sample optimum f*_j in its place and leave it unchanged.
+# The full-batch methods apply a stochastic method's rule to the whole
+# objective: GD is SGD's rule, FuvalFullBatch is Fuval's with one scalar slack.
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,13 @@ class SGD:
 
     def rule(self, t: int, f_j: float, g_sq: float, s_j: float) -> tuple[float, float, float]:
         return self.step, math.nan, 0.0
+
+
+@dataclass(frozen=True)
+class GD:
+    step: float
+
+    rule = SGD.rule
 
 
 @dataclass(frozen=True)
@@ -189,6 +193,8 @@ class Fuval:
 @dataclass(frozen=True)
 class FuvalFullBatch:
     params: FuvalParams
+
+    rule = Fuval.rule
 
 
 @dataclass(frozen=True)
@@ -516,22 +522,22 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is detected explicitly
 def _run_full_batch(problem: Problem, method: GD | FuvalFullBatch, config: RunConfig) -> Trace:
+    """Apply the method's rule to the full objective at every step; GD's rule
+    ignores f, so it takes one gradient pass per step."""
     w = _initial_w(problem, config)
     log = _TraceLog(problem, method, config, w)
-    if isinstance(method, FuvalFullBatch):
-        p = method.params
-        s = objective(problem, w) if p.s_init is SInit.AT_W0 else 0.0
+    fuval = isinstance(method, FuvalFullBatch)
+    # the scalar slack starts at the mean of the per-sample initial slacks
+    s = float(np.mean(initial_slack(problem, w, method.params.s_init))) if fuval else 0.0
     t0 = time.perf_counter()
     log.record(0, w)
     for t in range(log.total):
-        if isinstance(method, GD):
-            g = objective_grad(problem, w)
-            w = w - method.step * g
-            log.last = (0, math.nan, float(g @ g), method.step)
-        else:
-            lam_t = p.lambda_schedule.value(t)
-            w, s, tau = fuval_full_batch_step(problem, w, s, p, lam_t, p.delta_schedule.value(t))
-            log.last = (0, tau, math.nan, p.gamma * tau * lam_t)
+        g = objective_grad(problem, w)
+        g_sq = float(g @ g)
+        step, tau, slack_change = method.rule(t, objective(problem, w) if fuval else math.nan, g_sq, s)
+        w = w - step * g
+        s += slack_change
+        log.last = (0, tau, g_sq, step)
         if not log.after_step(t, w, bool(np.isfinite(w).all())):
             break
     return log.trace(w, None, time.perf_counter() - t0)

@@ -38,23 +38,6 @@ class SurrogateAnchor:
         return cls(grad_norms_sq=norms, lam=lam, delta=delta)
 
 
-@dataclass(frozen=True)
-class DMetric:
-    """Block-diagonal metric weighting the parameter and slack blocks."""
-
-    lam: float
-    delta: float
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.delta <= 0:
-            raise ValueError("lam and delta must be positive")
-
-
-def d_norm_sq(metric: DMetric, w_part: np.ndarray, s_part: np.ndarray) -> float:
-    """||z||^2 in the metric: (1/lam)||w_part||^2 + (1/delta)||s_part||^2."""
-    return float(w_part @ w_part) / metric.lam + float(s_part @ s_part) / metric.delta
-
-
 def _denom(anchor: SurrogateAnchor, i: int) -> float:
     return anchor.delta + anchor.lam * float(anchor.grad_norms_sq[i - 1])
 
@@ -63,11 +46,6 @@ def phi_i(anchor: SurrogateAnchor, problem: Problem, i: int, w: np.ndarray, s: n
     """Surrogate term for sample i at (w, s)."""
     gap = positive_part(loss_value(problem, i, w) - float(s[i - 1]) + anchor.delta)
     return 0.5 * gap * gap / _denom(anchor, i) + float(s[i - 1])
-
-
-def phi(anchor: SurrogateAnchor, problem: Problem, w: np.ndarray, s: np.ndarray) -> float:
-    """Mean of the per-sample surrogate terms."""
-    return sum(phi_i(anchor, problem, i, w, s) for i in range(1, problem.n + 1)) / problem.n
 
 
 def grad_phi_i(
@@ -88,22 +66,6 @@ def inf_s_phi_i(anchor: SurrogateAnchor, problem: Problem, i: int, w: np.ndarray
     return loss_value(problem, i, w) + anchor.delta / 2.0 - anchor.lam * g_sq / 2.0
 
 
-def inf_phi_i(anchor: SurrogateAnchor, problem: Problem, i: int, inf_fi: float = 0.0) -> float:
-    """Minimum of phi_i over both blocks; needs the per-sample infimum."""
-    g_sq = float(anchor.grad_norms_sq[i - 1])
-    return inf_fi + anchor.delta / 2.0 - anchor.lam * g_sq / 2.0
-
-
-def inf_s_phi(anchor: SurrogateAnchor, problem: Problem, w: np.ndarray) -> float:
-    """Minimum of the averaged surrogate over the slack block."""
-    return sum(inf_s_phi_i(anchor, problem, i, w) for i in range(1, problem.n + 1)) / problem.n
-
-
-def stationary_slack(anchor: SurrogateAnchor, f_i_star: float, i: int) -> float:
-    """Slack value making (w*, s*) stationary for the surrogate."""
-    return f_i_star - anchor.lam * float(anchor.grad_norms_sq[i - 1])
-
-
 def gradient_bound_residual(
     problem: Problem,
     w: np.ndarray,
@@ -117,12 +79,8 @@ def gradient_bound_residual(
     is zero up to roundoff on all valid inputs."""
     anchor = SurrogateAnchor.at(problem, w, lam, delta)
     grad_w, grad_s = grad_phi_i(anchor, problem, j, w, s)
-    metric = DMetric(lam=lam, delta=delta) if lam > 0 else None
-    if metric is None:
-        lhs = 0.5 * delta * float(grad_s @ grad_s)
-    else:
-        # D^{-1}-norm: lam ||grad_w||^2 + delta ||grad_s||^2
-        lhs = 0.5 * (lam * float(grad_w @ grad_w) + delta * float(grad_s @ grad_s))
+    # D^{-1}-norm: lam ||grad_w||^2 + delta ||grad_s||^2
+    lhs = 0.5 * (lam * float(grad_w @ grad_w) + delta * float(grad_s @ grad_s))
     tau = positive_part(loss_value(problem, j, w) - float(s[j - 1]) + delta) / _denom(anchor, j)
     s_hat = float(s[j - 1]) + delta * (tau - 1.0)
     rhs = phi_i(anchor, problem, j, w, s) - s_hat - delta / 2.0

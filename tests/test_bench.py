@@ -9,6 +9,7 @@ from fuvalkit.bench import (
     BoundKind,
     RateConstants,
     SensitivityTable,
+    build_method,
     evaluate_bounds,
     export_csv,
     grid_search,
@@ -20,11 +21,20 @@ from fuvalkit.bench import (
 )
 from fuvalkit.dataio import SyntheticSpec, gen_synthetic
 from fuvalkit.optimizers import (
+    GD,
+    SGD,
+    SPS,
     ConfigurationError,
+    Fuval,
+    FuvalFullBatch,
+    FuvalParams,
+    ProxLinearAppC,
     RunConfig,
     ScalingScheme,
-    SGD,
     SPSPlus,
+    constant,
+    inv_sqrt,
+    resolve_scaling,
     run,
 )
 from fuvalkit.problems import LossKind, Problem, SparseExample, objective, sample_constants
@@ -118,6 +128,29 @@ class TestRateFit:
         ts = np.arange(10, 1000)
         vals = 5.0 / ts
         assert rate_fit_slope(ts, vals) == pytest.approx(-1.0, abs=1e-6)
+
+
+class TestBuildMethod:
+    @pytest.mark.parametrize("schedule", [constant, inv_sqrt])
+    def test_every_family(self, schedule):
+        problem = interpolating(n=10, d=3)
+        w0 = np.zeros(problem.dim)
+        scheme = ScalingScheme.UNIT_INVARIANT_FV
+        lam, delta = resolve_scaling(scheme, 0.3, problem, w0)
+        params = FuvalParams(schedule(lam), schedule(delta), gamma=0.5, c_penalty=2.0)
+        expected = {
+            "gd": GD(step=0.3),
+            "sgd": SGD(step=0.3),
+            "sps": SPS(),
+            "sps+": SPSPlus(),
+            "proxlin": ProxLinearAppC(schedule(0.3), c_penalty=2.0),
+            "fuval": Fuval(params),
+            "fuval-full": FuvalFullBatch(params),
+        }
+        for family, spec in expected.items():
+            assert build_method(family, 0.3, scheme, problem, w0, 0.5, 2.0, schedule) == spec, family
+        with pytest.raises(ConfigurationError):
+            build_method("newton", 0.3, scheme, problem, w0)
 
 
 class TestGridSearch:

@@ -231,6 +231,16 @@ class TestGrid:
 
         assert strip_seconds(out1.read_text()) == strip_seconds(out2.read_text())
 
+    def test_run_length_exits_2(self, runner, tmp_path):
+        # exactly one of --epochs and --iterations; grid_search checks it
+        base = ["grid", "--synthetic", "interp:n=10,d=3,seed=1", "--methods", "gd,sgd",
+                "--eta-grid", "0.1", "--jobs", "2", "--seeds", "0,1", "--out", str(tmp_path / "s.csv")]
+        for length in ([], ["--epochs", "1", "--iterations", "5"]):
+            result = runner.invoke(main, base + length)
+            assert result.exit_code == 2
+            assert "exactly one of iterations or epochs" in result.output
+            assert not (tmp_path / "s.csv").exists()
+
     def test_unknown_family_exits_2(self, runner, tmp_path):
         result = runner.invoke(
             main,

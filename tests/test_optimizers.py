@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from fuvalkit.problems import (
     loss_grad,
     loss_value,
     objective,
+    objective_grad,
     per_sample_values,
 )
 from test_problems import make_problem
@@ -259,9 +261,10 @@ class TestInitialSlack:
         custom[3] = bad
         with pytest.raises(ConfigurationError):
             initial_slack(problem, np.zeros(problem.dim), custom)
-        method = Fuval(FuvalParams(constant(0.1), constant(0.1), s_init=custom))
-        with pytest.raises(ConfigurationError):
-            run(problem, method, RunConfig(iterations=10))
+        for spec in (Fuval, FuvalFullBatch):
+            method = spec(FuvalParams(constant(0.1), constant(0.1), s_init=custom))
+            with pytest.raises(ConfigurationError):
+                run(problem, method, RunConfig(iterations=10))
 
 
 class TestRunLoop:
@@ -479,6 +482,68 @@ class TestRunStepParity:
         scale = float(np.max(np.abs(expected)))
         assert scale > 0
         assert float(np.max(np.abs(trace.final_w - expected))) <= 1e-12 * scale
+
+
+class TestFullBatchParity:
+    """run() of a full-batch method equals iterating its full-gradient step,
+    with no tolerance: GD is w - step * grad f(w), and fuval-full is
+    fuval_full_batch_step with one scalar slack."""
+
+    LAM, DELTA, GAMMA, STEP, STEPS = 0.5, 0.2, 0.8, 0.5, 40
+
+    def _run(self, problem, method):
+        trace = run(problem, method, RunConfig(iterations=self.STEPS, eval_every=1))
+        assert trace.status == "ok"
+        return trace
+
+    @pytest.mark.parametrize("side", sorted(PARITY_PROBLEMS))
+    def test_gd_equals_gradient_steps(self, side):
+        problem = PARITY_PROBLEMS[side]()
+        trace = self._run(problem, GD(step=self.STEP))
+        w, grad_sq = np.zeros(problem.dim), []
+        for _ in range(self.STEPS):
+            g = objective_grad(problem, w)
+            grad_sq.append(float(g @ g))
+            w = w - self.STEP * g
+        np.testing.assert_array_equal(trace.final_w, w)
+        np.testing.assert_array_equal(trace.stepsize[1:], np.full(self.STEPS, self.STEP))
+        np.testing.assert_array_equal(trace.grad_sq[1:], grad_sq)
+        assert np.all(np.isnan(trace.tau))
+
+    def _replay(self, problem, params, s):
+        w, taus, steps, grad_sq = np.zeros(problem.dim), [], [], []
+        for t in range(self.STEPS):
+            g = objective_grad(problem, w)
+            grad_sq.append(float(g @ g))
+            lam_t = params.lambda_schedule.value(t)
+            w, s, tau = fuval_full_batch_step(problem, w, s, params, lam_t, params.delta_schedule.value(t))
+            taus.append(tau)
+            steps.append(params.gamma * tau * lam_t)
+        return w, taus, steps, grad_sq
+
+    @pytest.mark.parametrize("side", sorted(PARITY_PROBLEMS))
+    @pytest.mark.parametrize("schedule", [constant, inv_sqrt])
+    def test_fuval_full_equals_step_function(self, side, schedule):
+        problem = PARITY_PROBLEMS[side]()
+        params = FuvalParams(schedule(self.LAM), schedule(self.DELTA), gamma=self.GAMMA)
+        trace = self._run(problem, FuvalFullBatch(params))
+        w, taus, steps, grad_sq = self._replay(problem, params, objective(problem, np.zeros(problem.dim)))
+        np.testing.assert_array_equal(trace.final_w, w)
+        np.testing.assert_array_equal(trace.tau[1:], taus)
+        np.testing.assert_array_equal(trace.stepsize[1:], steps)
+        # the full gradient's squared norm, as for GD
+        assert np.all(np.isfinite(trace.grad_sq[1:]))
+        np.testing.assert_array_equal(trace.grad_sq[1:], grad_sq)
+
+    def test_custom_slack_vector_starts_the_scalar_slack(self):
+        problem = PARITY_PROBLEMS["dense"]()
+        params = FuvalParams(constant(self.LAM), constant(self.DELTA), gamma=self.GAMMA)
+        custom = self._run(problem, FuvalFullBatch(replace(params, s_init=np.full(problem.n, 5.0))))
+        zeros = self._run(problem, FuvalFullBatch(replace(params, s_init=SInit.ZEROS)))
+        w, taus, _, _ = self._replay(problem, params, 5.0)
+        np.testing.assert_array_equal(custom.final_w, w)
+        np.testing.assert_array_equal(custom.tau[1:], taus)
+        assert not np.array_equal(custom.final_w, zeros.final_w)
 
 
 class TestDivergence:
