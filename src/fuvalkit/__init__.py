@@ -52,6 +52,7 @@ from .problems import (
     loss_grad,
     loss_value,
     objective,
+    objective_and_grad,
     objective_grad,
     sample_constants,
 )

@@ -90,6 +90,8 @@ def reference_solve(
     gradient norm drops below tol.  Returns the best iterate flagged
     not-converged when the iteration cap is hit."""
     w = np.zeros(problem.dim) if w0 is None else w0.astype(float).copy()
+    if not np.all(np.isfinite(w)):
+        raise ConfigurationError("w0 must be finite")
     f = objective(problem, w)
     step = 1.0
     armijo = 0.5e-4

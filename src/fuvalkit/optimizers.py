@@ -21,6 +21,7 @@ from .problems import (
     loss_grad,
     loss_value,
     objective,
+    objective_and_grad,
     objective_grad,
     per_sample_values,
     row_norms_sq,
@@ -105,8 +106,8 @@ def resolve_scaling(
         else:
             return eta * float(w0 @ w0) / constants.g_max, eta * constants.g_max
 
-    f0 = objective(problem, w0)
     if scheme in (ScalingScheme.UNIT_INVARIANT_FV, ScalingScheme.REMARK_FV):
+        f0 = objective(problem, w0)
         if f0 <= 0:
             raise ConfigurationError(f"scheme {scheme.value} needs f(w0) > 0")
         if scheme is ScalingScheme.UNIT_INVARIANT_FV:
@@ -114,7 +115,8 @@ def resolve_scaling(
         return eta * float(w0 @ w0) / f0, eta * f0
 
     # UNIT_INVARIANT_GRAD
-    g0_sq = float(np.sum(objective_grad(problem, w0) ** 2))
+    f0, g0 = objective_and_grad(problem, w0)
+    g0_sq = float(np.sum(g0**2))
     if f0 <= 0 or g0_sq <= 0:
         raise ConfigurationError("scheme uigrad needs f(w0) > 0 and a nonzero gradient at w0")
     return eta * f0 / g0_sq, eta * f0
@@ -327,10 +329,8 @@ def fuval_full_batch_step(
     """Full-batch variant with a scalar slack; returns (w', s', tau)."""
     if lam_t <= 0 or delta_t <= 0:
         raise ContractViolation("step scales must be positive")
-    g = objective_grad(problem, w)
-    step, tau, slack_change = fuval_rule(
-        objective(problem, w), float(g @ g), s, lam_t, delta_t, params.gamma, params.c_penalty
-    )
+    f, g = objective_and_grad(problem, w)
+    step, tau, slack_change = fuval_rule(f, float(g @ g), s, lam_t, delta_t, params.gamma, params.c_penalty)
     return w - step * g, s + slack_change, tau
 
 
@@ -522,8 +522,9 @@ def run(problem: Problem, method: MethodSpec, config: RunConfig) -> Trace:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is detected explicitly
 def _run_full_batch(problem: Problem, method: GD | FuvalFullBatch, config: RunConfig) -> Trace:
-    """Apply the method's rule to the full objective at every step; GD's rule
-    ignores f, so it takes one gradient pass per step."""
+    """Apply the method's rule to the full objective at every step. FUVAL
+    takes f and its gradient from one pass over X; GD's rule ignores f, so it
+    takes the gradient alone."""
     w = _initial_w(problem, config)
     log = _TraceLog(problem, method, config, w)
     fuval = isinstance(method, FuvalFullBatch)
@@ -532,9 +533,9 @@ def _run_full_batch(problem: Problem, method: GD | FuvalFullBatch, config: RunCo
     t0 = time.perf_counter()
     log.record(0, w)
     for t in range(log.total):
-        g = objective_grad(problem, w)
+        f, g = objective_and_grad(problem, w) if fuval else (math.nan, objective_grad(problem, w))
         g_sq = float(g @ g)
-        step, tau, slack_change = method.rule(t, objective(problem, w) if fuval else math.nan, g_sq, s)
+        step, tau, slack_change = method.rule(t, f, g_sq, s)
         w = w - step * g
         s += slack_change
         log.last = (0, tau, g_sq, step)

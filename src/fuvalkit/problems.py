@@ -278,14 +278,25 @@ def row_norms_sq(problem: Problem) -> np.ndarray:
     return _row_sums(problem, problem.data * problem.data)
 
 
-def per_sample_values(problem: Problem, w: np.ndarray) -> np.ndarray:
-    """All n loss values at w in one vectorized pass."""
+def _losses(problem: Problem, z: np.ndarray, values: bool = True, coefs: bool = True):
+    """Per-sample loss values and gradient coefficients (grad f_i = c_i x_i)
+    at the row dot products z, each None when not asked for."""
     y = problem.labels
-    z = _matvec(problem, w)
     if problem.loss_kind is LossKind.LOGISTIC:
         m = -y * z
-        return np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
-    return 0.5 * (z - y) ** 2
+        e = np.exp(-np.abs(m))  # equals exp(m) where m < 0, and never overflows
+        return (
+            np.maximum(m, 0.0) + np.log1p(e) if values else None,
+            # the sigmoid of m; a NaN margin fails m >= 0 and stays NaN
+            -y * np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) if coefs else None,
+        )
+    r = z - y
+    return (0.5 * r**2 if values else None), (r if coefs else None)
+
+
+def per_sample_values(problem: Problem, w: np.ndarray) -> np.ndarray:
+    """All n loss values at w in one vectorized pass."""
+    return _losses(problem, _matvec(problem, w), coefs=False)[0]
 
 
 def objective(problem: Problem, w: np.ndarray) -> float:
@@ -295,19 +306,15 @@ def objective(problem: Problem, w: np.ndarray) -> float:
 
 def objective_grad(problem: Problem, w: np.ndarray) -> np.ndarray:
     """Mean of per-sample gradients."""
-    y = problem.labels
-    z = _matvec(problem, w)
-    if problem.loss_kind is LossKind.LOGISTIC:
-        m = -y * z
-        sig = np.where(m >= 0, 1.0 / (1.0 + np.exp(-np.abs(m))), 0.0)
-        neg = m < 0
-        e = np.exp(m[neg]) if np.any(neg) else None
-        if e is not None:
-            sig[neg] = e / (1.0 + e)
-        coef = -y * sig
-    else:
-        coef = z - y
-    return _rmatvec(problem, coef) / problem.n
+    coefs = _losses(problem, _matvec(problem, w), values=False)[1]
+    return _rmatvec(problem, coefs) / problem.n
+
+
+def objective_and_grad(problem: Problem, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """(objective(problem, w), objective_grad(problem, w)), bit for bit, from
+    one X w, one exp and one X^T u."""
+    values, coefs = _losses(problem, _matvec(problem, w))
+    return float(np.mean(values)), _rmatvec(problem, coefs) / problem.n
 
 
 def sample_constants(problem: Problem) -> SampleConstants:

@@ -74,6 +74,13 @@ class TestReferenceSolve:
         trace = run(problem, SGD(step=0.05), RunConfig(iterations=3000, seed=0, reference=ref, eval_every=50))
         assert np.min(trace.subopt) >= -1e-9
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_refused(self, bad):
+        w0 = np.zeros(5)
+        w0[2] = bad
+        with pytest.raises(ConfigurationError, match="w0 must be finite"):
+            reference_solve(interpolating(), w0=w0)
+
     def test_iteration_cap_flags_not_converged(self):
         ref = reference_solve(interpolating(), tol=1e-30, max_iters=5)
         assert not ref.converged

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fuvalkit import problems
 from fuvalkit.bench import ReferenceSolution, reference_solve
 from fuvalkit.dataio import SyntheticMode, SyntheticSpec, gen_synthetic
 from fuvalkit.optimizers import (
@@ -544,6 +545,37 @@ class TestFullBatchParity:
         np.testing.assert_array_equal(custom.final_w, w)
         np.testing.assert_array_equal(custom.tau[1:], taus)
         assert not np.array_equal(custom.final_w, zeros.final_w)
+
+
+class TestFullBatchPasses:
+    """Each full-batch step reads X once forward and once transposed:
+    fuval-full takes f and its gradient from one pass, GD its gradient alone.
+    Outside the steps, a run evaluates f at the start and the end, and
+    fuval-full's default slack reads every f_i(w0) once."""
+
+    T = 20
+
+    def _passes(self, monkeypatch, problem, method):
+        counts = {"_matvec": 0, "_rmatvec": 0}
+        for name in counts:
+
+            def counted(*args, _fn=getattr(problems, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(problems, name, counted)
+        trace = run(problem, method, RunConfig(iterations=self.T, eval_every=self.T))
+        assert trace.status == "ok"
+        return counts["_matvec"], counts["_rmatvec"]
+
+    @pytest.mark.parametrize("side", sorted(PARITY_PROBLEMS))
+    def test_fuval_full_step_is_one_pass(self, monkeypatch, side):
+        method = FuvalFullBatch(FuvalParams(constant(0.5), constant(0.2)))
+        assert self._passes(monkeypatch, PARITY_PROBLEMS[side](), method) == (self.T + 3, self.T)
+
+    @pytest.mark.parametrize("side", sorted(PARITY_PROBLEMS))
+    def test_gd_step_is_one_pass(self, monkeypatch, side):
+        assert self._passes(monkeypatch, PARITY_PROBLEMS[side](), GD(step=0.5)) == (self.T + 2, self.T)
 
 
 class TestDivergence:

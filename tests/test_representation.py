@@ -21,6 +21,7 @@ from fuvalkit.problems import (
     loss_grad_coef,
     loss_value,
     objective,
+    objective_and_grad,
     objective_grad,
     per_sample_values,
     sample_constants,
@@ -65,6 +66,23 @@ def _close(a, b):
     np.testing.assert_allclose(a, b, rtol=RTOL, atol=RTOL)
 
 
+def _assert_one_pass_is_two(problem, w):
+    """objective_and_grad equals objective and objective_grad bit for bit."""
+    f, g = objective_and_grad(problem, w)
+    assert type(f) is float
+    assert np.float64(f).tobytes() == np.float64(objective(problem, w)).tobytes()
+    assert g.shape == (problem.dim,)
+    assert g.tobytes() == objective_grad(problem, w).tobytes()
+
+
+# Points w at which the logistic margins m_i = -y_i <x_i, w> over EDGE_ROWS are
+# (0, 0, 0), where the sigmoid switches branch; (-3500, 4000, 3000) and
+# (-1500, -4000, -1000), beyond +-745, where exp(-|m|) underflows to 0; and
+# (-2.5, -5, -1), all negative.
+EDGE_ROWS = [[(0, 1.0), (1, 0.5)], [(0, -1.0), (1, 2.0)], [(1, -1.0)]]
+EDGE_LABELS = [1.0, -1.0, 1.0]
+EDGE_POINTS = [np.zeros(2), np.array([2000.0, 3000.0]), np.array([2000.0, -1000.0]), np.array([3.0, -1.0])]
+
 # an empty last row is where np.add.reduceat raises; an empty row before a
 # nonempty one is where it returns the neighbour's element
 EMPTY_EDGES = (LossKind.LOGISTIC, 3, [1.0, -1.0, 1.0], [[], [(1, 2.0)], []], np.array([0.5, -1.0, 3.0]))
@@ -87,6 +105,8 @@ def test_dense_and_csr_paths_agree(case):
     _close(per_sample_values(csr, w), per_sample_values(dense, w))
     _close(objective(csr, w), objective(dense, w))
     _close(objective_grad(csr, w), objective_grad(dense, w))
+    _assert_one_pass_is_two(csr, w)
+    _assert_one_pass_is_two(dense, w)
     c_csr, c_dense = sample_constants(csr), sample_constants(dense)
     _close(c_csr.smoothness, c_dense.smoothness)
     _close(c_csr.l_max, c_dense.l_max)
@@ -94,6 +114,24 @@ def test_dense_and_csr_paths_agree(case):
         _close(c_csr.lipschitz, c_dense.lipschitz)
     # and both agree with the per-sample oracles, row by row
     _close(per_sample_values(csr, w), [loss_value(csr, i, w) for i in range(1, csr.n + 1)])
+
+
+for _kind in LossKind:
+    for _w in EDGE_POINTS:
+        test_dense_and_csr_paths_agree = example((_kind, 2, EDGE_LABELS, EDGE_ROWS, _w))(test_dense_and_csr_paths_agree)
+
+
+@pytest.mark.parametrize("kind", LossKind)
+@pytest.mark.parametrize("dense", [True, False])
+def test_nan_iterate_gives_nan_gradient(kind, dense):
+    # every row stores column 0, so a NaN there reaches every margin on both
+    # paths; the sigmoid used to turn a NaN margin into a zero coefficient
+    problem = build((kind, 2, EDGE_LABELS, EDGE_ROWS[:2] + [[(0, 2.0), (1, -1.0)]], None), dense)
+    for w in (np.full(2, np.nan), np.array([np.nan, 1.0])):
+        assert np.isnan(objective(problem, w))
+        assert np.all(np.isnan(objective_grad(problem, w)))
+        f, g = objective_and_grad(problem, w)
+        assert np.isnan(f) and np.all(np.isnan(g))
 
 
 def test_empty_rows_evaluate_at_zero_margin():
