@@ -37,8 +37,6 @@ from .optimizers import (
     SInit,
     SPSPlus,
     Trace,
-    Weighting,
-    averaged_iterate,
     constant,
     inv_sqrt,
     resolve_scaling,

@@ -29,9 +29,7 @@ from .optimizers import (
     Schedule,
     SPSPlus,
     Trace,
-    Weighting,
     _run_lockstep,
-    averaged_iterate,
     constant,
     resolve_scaling,
     run,
@@ -65,14 +63,8 @@ class RateConstants:
 
     l_max: float
     g_max: float | None
-    g_sq_sum: float | None
-    n: int
     gamma: float = 1.0
     c_penalty: float = 1.0
-
-    @property
-    def theta(self) -> float:
-        return self.n / (self.n + 2.0 * self.gamma**2)
 
     def model_lipschitz(self, lam: float, delta: float, lipschitz: np.ndarray) -> float:
         """RMS Lipschitz constant of the linearized penalty models."""
@@ -158,7 +150,9 @@ def evaluate_bounds(
     delta: float | None = None,
     s0: np.ndarray | None = None,
 ) -> BoundReport:
-    """Compare a trace's empirical suboptimality against a proven bound."""
+    """Compare a trace's empirical suboptimality against a proven bound. The
+    FUVAL_SGD and PROX_LINEAR bounds read the trace's last averaged iterate
+    (uniform and lambda-weighted), so their run needs RunConfig.average."""
     T = int(trace.eval_t[-1])
     w_init = np.zeros(reference.w_star.shape) if w0 is None else w0
     dist0_sq = float(np.sum((w_init - reference.w_star) ** 2))
@@ -175,9 +169,12 @@ def evaluate_bounds(
         rhs = 2.0 * constants.l_max * dist0_sq / T
         return BoundReport(which, lhs, rhs, lhs <= rhs)
 
+    if which in (BoundKind.FUVAL_SGD, BoundKind.PROX_LINEAR) and trace.f_avg is None:
+        raise ConfigurationError(f"the {which.value} bound needs a run with RunConfig(average=True)")
+
     if which is BoundKind.FUVAL_SGD:
-        if lam is None or delta is None or s0 is None or problem is None:
-            raise ConfigurationError("fuval_sgd bound needs lam, delta, s0, and the problem")
+        if lam is None or delta is None or s0 is None:
+            raise ConfigurationError("fuval_sgd bound needs lam, delta and s0")
         gamma = constants.gamma
         lam_L = lam * constants.l_max
         if not (0 < gamma < 1) or lam_L >= 0.5:
@@ -186,8 +183,7 @@ def evaluate_bounds(
         init = dist0_sq / lam + float(np.sum((s0 - s_star) ** 2)) / delta
         rhs = init / (2.0 * gamma * (1.0 - gamma) * (1.0 - lam_L) * T)
         rhs += reference.sigma * (gamma + lam_L * (1.0 - gamma)) / ((1.0 - gamma) * (1.0 - lam_L))
-        w_bar = averaged_iterate(trace, Weighting.UNIFORM)
-        lhs = objective(problem, w_bar) - reference.f_star
+        lhs = float(trace.f_avg[-1]) - reference.f_star
         return BoundReport(which, lhs, rhs, lhs <= rhs)
 
     # PROX_LINEAR
@@ -201,8 +197,7 @@ def evaluate_bounds(
     init = dist0_sq / lam + float(np.sum((s0 - s_star) ** 2)) / delta
     rhs = init / (4.0 * (math.sqrt(T + 2) - 1.0))
     rhs += m_bar**2 * math.sqrt(lam * delta) * (1.0 + math.log(T + 1)) / (2.0 * math.sqrt(T + 2) - 2.0)
-    w_bar = averaged_iterate(trace, Weighting.LAMBDA_WEIGHTED)
-    lhs = objective(problem, w_bar) - reference.f_star
+    lhs = float(trace.f_lavg[-1]) - reference.f_star
     return BoundReport(which, lhs, rhs, lhs <= rhs)
 
 
@@ -350,7 +345,8 @@ def grid_search(
     if np.unique(etas).size != etas.size:
         raise ConfigurationError("duplicate eta in grid")
     seeds = seeds or [0]
-    RunConfig(iterations=iterations, epochs=epochs).total_steps(problem.n)  # exactly one is set
+    # exactly one run length is set, non-negative, and eval_every is at least 1
+    RunConfig(iterations=iterations, epochs=epochs, eval_every=eval_every).total_steps(problem.n)
 
     cells = []
     for family in families:

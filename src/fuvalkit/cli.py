@@ -99,7 +99,8 @@ def problem_digest(problem: Problem) -> str:
 
 
 def reference_cache_path(problem: Problem, tol: float, cache_dir: Path) -> Path:
-    return cache_dir / f"ref-{problem_digest(problem)}-{tol:.0e}.npz"
+    # repr keeps every digit, so 1e-3 and 1.4e-3 get different files
+    return cache_dir / f"ref-{problem_digest(problem)}-{tol!r}.npz"
 
 
 def save_reference(ref: ReferenceSolution, path: Path) -> None:
@@ -242,14 +243,13 @@ def reference(data, synthetic, loss, tol, out):
 @click.option("--iterations", default=None, type=int, help="Run length in single steps.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--eval-every", default=10, show_default=True)
-@click.option("--store-iterates", is_flag=True, default=False)
 @click.option("--out", default="runs", show_default=True, help="Output directory.")
 @click.option("--reference", "reference_path", default=None, help="Precomputed reference file.")
 @click.option("--solve-reference", is_flag=True, default=False, help="Solve and cache f* first.")
 @click.option("--ref-tol", default=1e-10, show_default=True)
 def fit(
     data, synthetic, loss, method, scheme, eta, gamma, penalty_c, schedule,
-    epochs, iterations, seed, eval_every, store_iterates, out,
+    epochs, iterations, seed, eval_every, out,
     reference_path, solve_reference, ref_tol,
 ):
     """Run one method once and write its trace CSV plus a .meta sidecar."""
@@ -271,7 +271,6 @@ def fit(
             seed=seed,
             reference=ref,
             eval_every=eval_every,
-            store_iterates=store_iterates,
         )
         trace = run(problem, spec, config)
     except ConfigurationError as exc:

@@ -51,8 +51,8 @@ class Schedule:
     base: float
 
     def __post_init__(self):
-        if self.base <= 0:
-            raise ConfigurationError("schedule base must be positive")
+        if not 0 < self.base < math.inf:
+            raise ConfigurationError("schedule base must be finite and positive")
 
     def value(self, t: int) -> float:
         if self.kind is ScheduleKind.CONSTANT:
@@ -90,8 +90,8 @@ def resolve_scaling(
     constants: SampleConstants | None = None,
 ) -> tuple[float, float]:
     """Map (scheme, eta, problem statistics at w0) to base (lambda, delta)."""
-    if eta <= 0:
-        raise ConfigurationError("stepsize factor eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ConfigurationError("stepsize factor eta must be finite and positive")
     if scheme is ScalingScheme.NAIVE:
         return eta, eta
 
@@ -142,7 +142,7 @@ class FuvalParams:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ConfigurationError("gamma must lie in (0, 1]")
-        if self.c_penalty < 1.0:
+        if not self.c_penalty >= 1.0:  # NaN fails too
             raise ConfigurationError("penalty multiplier must be >= 1")
 
 
@@ -159,6 +159,10 @@ class FuvalParams:
 class SGD:
     step: float
 
+    def __post_init__(self):
+        if not 0 < self.step < math.inf:
+            raise ConfigurationError("stepsize must be finite and positive")
+
     def rule(self, t: int, f_j: float, g_sq: float, s_j: float) -> tuple[float, float, float]:
         return self.step, math.nan, 0.0
 
@@ -167,6 +171,7 @@ class SGD:
 class GD:
     step: float
 
+    __post_init__ = SGD.__post_init__
     rule = SGD.rule
 
 
@@ -205,7 +210,7 @@ class ProxLinearAppC:
     c_penalty: float = 1.0
 
     def __post_init__(self):
-        if self.c_penalty < 1.0:
+        if not self.c_penalty >= 1.0:  # NaN fails too
             raise ConfigurationError("penalty multiplier must be >= 1")
 
     def rule(self, t: int, f_j: float, g_sq: float, s_j: float) -> tuple[float, float, float]:
@@ -373,8 +378,14 @@ class RunConfig:
     seed: int = 0
     reference: Any = None  # needs .f_star and .per_sample_f_star when present
     eval_every: int = 10
-    store_iterates: bool = False
+    average: bool = False  # record f at the running averages of the iterates
     w0: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.eval_every < 1:
+            raise ConfigurationError("eval_every must be at least 1")
+        if min(self.iterations or 0, self.epochs or 0) < 0:
+            raise ConfigurationError("the run length must be non-negative")
 
     def total_steps(self, n: int) -> int:
         if (self.iterations is None) == (self.epochs is None):
@@ -384,7 +395,10 @@ class RunConfig:
 
 @dataclass
 class Trace:
-    """Per-evaluation records of one run plus its metadata."""
+    """Per-evaluation records of one run plus its metadata. With
+    RunConfig.average, `f_avg` holds f at the mean of w^0..w^{t-1} and
+    `f_lavg` f at the lambda-weighted mean sum_{u<t} lambda_u w^{u+1} /
+    sum_{u<t} lambda_u (NaN without a lambda schedule); both are NaN at t = 0."""
 
     eval_t: np.ndarray
     sample: np.ndarray
@@ -395,8 +409,8 @@ class Trace:
     stepsize: np.ndarray
     status: str
     meta: dict
-    iterates: np.ndarray | None = None
-    lambdas: np.ndarray | None = None
+    f_avg: np.ndarray | None = None
+    f_lavg: np.ndarray | None = None
     final_w: np.ndarray | None = None
     final_s: np.ndarray | None = None
     seconds: float = 0.0
@@ -438,49 +452,56 @@ def _initial_w(problem: Problem, config: RunConfig) -> np.ndarray:
 
 
 class _TraceLog:
-    """One run's evaluation records, stored iterates and status, and their
-    assembly into a Trace; the full-batch loop and the stochastic pass share it."""
+    """One run's evaluation records, running sums of its iterates and status,
+    and their assembly into a Trace; the full-batch loop and the stochastic
+    pass share it."""
 
     def __init__(self, problem: Problem, method: MethodSpec, config: RunConfig, w0: np.ndarray):
         self.problem, self.method, self.config = problem, method, config
         self.total = config.total_steps(problem.n)
         self.f_star = float(config.reference.f_star) if config.reference is not None else math.nan
         self.records: list[tuple] = []
-        self.iterates = [w0.copy()] if config.store_iterates else None
         self.last = (0, math.nan, math.nan, math.nan)  # sample, tau, grad_sq, stepsize
         self.status = "ok"
+        if config.average:
+            # the lambda schedule of fuval, fuval-full and prox-linear; None for the others
+            self.schedule = getattr(getattr(method, "params", method), "lambda_schedule", None)
+            self.sum_w = w0.copy()  # w^0 + ... + w^{t-1} when evaluation t is recorded
+            self.lam_sum_w, self.lam_sum = np.zeros_like(w0), 0.0  # sum_u lambda_u w^{u+1}, sum_u lambda_u
 
     def record(self, t: int, w: np.ndarray) -> float:
         f = objective(self.problem, w)
         j, tau, g_sq, step = self.last
-        self.records.append((t, j, tau, f, f - self.f_star, g_sq, step))
+        row = (t, j, tau, f, f - self.f_star, g_sq, step)
+        if self.config.average:
+            f_avg = objective(self.problem, self.sum_w / t) if t else math.nan
+            f_lavg = objective(self.problem, self.lam_sum_w / self.lam_sum) if t and self.schedule else math.nan
+            row += (f_avg, f_lavg)
+        self.records.append(row)
         return f
 
     def after_step(self, t: int, w: np.ndarray, finite: bool) -> bool:
-        """Store w after step t and record it when due, or at once when the
-        step wrote a NaN/Inf entry; False when the run has diverged."""
-        if self.iterates is not None:
-            self.iterates.append(w.copy())
-        if not finite:
-            self.status = "diverged"
-            self.record(t + 1, w)
-            return False
-        if (t + 1) % self.config.eval_every == 0 or t + 1 == self.total:
+        """Add w after step t to the running sums and record it when due, or
+        at once when the step wrote a NaN/Inf entry; False when the run has
+        diverged."""
+        average = self.config.average
+        if average and self.schedule:
+            lam_t = self.schedule.value(t)
+            self.lam_sum_w += lam_t * w
+            self.lam_sum += lam_t
+        diverged = not finite
+        if diverged or (t + 1) % self.config.eval_every == 0 or t + 1 == self.total:
             f = self.record(t + 1, w)
-            if not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT:
-                self.status = "diverged"
-                return False
-        return True
+            diverged = diverged or not math.isfinite(f) or abs(f) > DIVERGENCE_LIMIT
+        if average:
+            self.sum_w += w  # w^{t+1} joins the uniform mean from evaluation t + 2 on
+        if diverged:
+            self.status = "diverged"
+        return not diverged
 
     def trace(self, w: np.ndarray, s: np.ndarray | None, seconds: float) -> Trace:
         method, config = self.method, self.config
         arr = np.array(self.records, dtype=float)
-        lambdas = None
-        if config.store_iterates:
-            # the lambda schedule of fuval, fuval-full and prox-linear; empty for the others
-            schedule = getattr(getattr(method, "params", method), "lambda_schedule", None)
-            steps = int(arr[-1, 0])
-            lambdas = np.array([schedule.value(t) for t in range(steps)] if schedule else [])
         meta = {
             "seed": config.seed,
             "T": self.total,
@@ -499,8 +520,8 @@ class _TraceLog:
             stepsize=arr[:, 6],
             status=self.status,
             meta=meta,
-            iterates=np.array(self.iterates) if self.iterates is not None else None,
-            lambdas=lambdas,
+            f_avg=arr[:, 7] if config.average else None,
+            f_lavg=arr[:, 8] if config.average else None,
             final_w=w.copy(),
             final_s=s.copy() if isinstance(method, (Fuval, ProxLinearAppC)) else None,
             seconds=seconds,
@@ -582,7 +603,7 @@ def _run_lockstep(problem: Problem, methods: list[MethodSpec], config: RunConfig
     rng = np.random.default_rng(config.seed)
     kind, labels, norms_sq = problem.loss_kind, problem.labels.tolist(), row_norms_sq(problem).tolist()
     rules = [m.rule for m in methods]
-    store, every = config.store_iterates, config.eval_every
+    average, every = config.average, config.eval_every
     live = list(range(K))
     final: list[tuple | None] = [None] * K  # (w, s) of each frozen cell
     coefs = np.zeros(K)  # each cell's multiple of the sampled row this step
@@ -611,8 +632,8 @@ def _run_lockstep(problem: Problem, methods: list[MethodSpec], config: RunConfig
         # every w was finite before this step, so each is finite exactly when
         # the entries this step wrote are
         all_finite = bool(np.isfinite(block).all())
-        if all_finite and not store and (t + 1) % every and t + 1 != total:
-            continue  # nothing to store, record or freeze
+        if all_finite and not average and (t + 1) % every and t + 1 != total:
+            continue  # nothing to sum, record or freeze
         for k in list(live):
             finite = all_finite or bool(np.isfinite(block[k]).all())
             if not logs[k].after_step(t, W[k], finite):  # freeze the cell
@@ -622,43 +643,3 @@ def _run_lockstep(problem: Problem, methods: list[MethodSpec], config: RunConfig
 
     seconds = (time.perf_counter() - t0) / K
     return [log.trace(*(final[k] or (W[k], S[k])), seconds) for k, log in enumerate(logs)]
-
-
-# ---------------------------------------------------------------------------
-# iterate averaging
-
-
-class Weighting(enum.Enum):
-    UNIFORM = "uniform"
-    LAMBDA_WEIGHTED = "lambda"
-    THETA_WEIGHTED = "theta"
-
-
-def averaged_iterate(
-    trace: Trace,
-    weighting: Weighting,
-    gamma: float | None = None,
-    n: int | None = None,
-    upto: int | None = None,
-) -> np.ndarray:
-    """Weighted average of the stored iterates.
-
-    UNIFORM averages w^0..w^{T-1}; LAMBDA weights w^{t+1} by the stepsize
-    scale used at step t; THETA uses geometric weights theta^{t+1} on w^t
-    with theta = n / (n + 2 gamma^2).  `upto` truncates to the first T steps.
-    """
-    if trace.iterates is None:
-        raise ConfigurationError("iterate storage was disabled for this trace")
-    T = trace.iterates.shape[0] - 1 if upto is None else upto
-    if weighting is Weighting.UNIFORM:
-        return trace.iterates[:T].mean(axis=0)
-    if weighting is Weighting.LAMBDA_WEIGHTED:
-        if trace.lambdas is None:
-            raise ConfigurationError("no per-step scales stored for lambda weighting")
-        lam = trace.lambdas[:T]
-        return (lam[:, None] * trace.iterates[1 : T + 1]).sum(axis=0) / lam.sum()
-    if gamma is None or n is None:
-        raise ConfigurationError("theta weighting needs gamma and n")
-    theta = n / (n + 2.0 * gamma * gamma)
-    weights = theta ** np.arange(1, T + 1)
-    return (weights[:, None] * trace.iterates[:T]).sum(axis=0) / weights.sum()

@@ -178,12 +178,6 @@ class SampleConstants:
     l_max: float
     inf_fi: np.ndarray
 
-    @property
-    def g_sq_sum(self) -> float | None:
-        if self.lipschitz is None:
-            return None
-        return float(np.sum(self.lipschitz**2))
-
 
 def _log1pexp(z: float) -> float:
     # max(z,0) + log1p(exp(-|z|)) avoids overflow for |z| > ~30

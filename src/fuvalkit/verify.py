@@ -316,10 +316,9 @@ def suite_bounds() -> list[PropertyResult]:
         subopts.append(np.minimum.accumulate(trace.subopt))
     mean_min = np.mean(subopts, axis=0)
     eval_t = trace.eval_t
-    rc = RateConstants(l_max=consts.l_max, g_max=consts.g_max, g_sq_sum=consts.g_sq_sum, n=problem.n)
     dist0_sq = float(np.sum(reference.w_star**2))
     ok_smooth = all(
-        mean_min[k] <= 2.0 * rc.l_max * dist0_sq / eval_t[k] for k in range(1, eval_t.size)
+        mean_min[k] <= 2.0 * consts.l_max * dist0_sq / eval_t[k] for k in range(1, eval_t.size)
     )
 
     # smooth convex rate with noise radius, gamma < 1
@@ -333,25 +332,13 @@ def suite_bounds() -> list[PropertyResult]:
     )
     lhs_vals, rhs_val = [], None
     for seed in range(5):
-        trace = run(
-            problem,
-            Fuval(params),
-            RunConfig(
-                iterations=2000,
-                seed=seed,
-                reference=reference,
-                eval_every=500,
-                store_iterates=True,
-            ),
-        )
+        config = RunConfig(iterations=2000, seed=seed, reference=reference, eval_every=500, average=True)
+        trace = run(problem, Fuval(params), config)
         s0 = np.array([loss_value(problem, i, np.zeros(problem.dim)) for i in range(1, problem.n + 1)])
         report = evaluate_bounds(
             trace,
             reference,
-            RateConstants(
-                l_max=consts.l_max, g_max=consts.g_max, g_sq_sum=consts.g_sq_sum,
-                n=problem.n, gamma=0.5,
-            ),
+            RateConstants(l_max=consts.l_max, g_max=consts.g_max, gamma=0.5),
             BoundKind.FUVAL_SGD,
             problem=problem,
             lam=lam,

@@ -19,7 +19,7 @@ from fuvalkit.bench import (
     sensitivity_csv,
     trace_csv,
 )
-from fuvalkit.dataio import SyntheticSpec, gen_synthetic
+from fuvalkit.dataio import SyntheticMode, SyntheticSpec, gen_synthetic
 from fuvalkit.optimizers import (
     GD,
     SGD,
@@ -31,8 +31,10 @@ from fuvalkit.optimizers import (
     ProxLinearAppC,
     RunConfig,
     ScalingScheme,
+    SInit,
     SPSPlus,
     constant,
+    initial_slack,
     inv_sqrt,
     resolve_scaling,
     run,
@@ -87,13 +89,8 @@ class TestReferenceSolve:
 
 
 class TestRateConstants:
-    def test_theta_in_unit_interval(self):
-        rc = RateConstants(l_max=1.0, g_max=1.0, g_sq_sum=1.0, n=10, gamma=0.7)
-        assert 0 < rc.theta < 1
-        assert rc.theta == pytest.approx(10 / (10 + 2 * 0.49))
-
     def test_model_lipschitz_rms(self):
-        rc = RateConstants(l_max=1.0, g_max=2.0, g_sq_sum=8.0, n=2, c_penalty=2.0)
+        rc = RateConstants(l_max=1.0, g_max=2.0, c_penalty=2.0)
         lip = np.array([1.0, 2.0])
         m = 1 + 2.0 * np.sqrt((0.5 / 0.25) * lip**2 + 1)
         assert rc.model_lipschitz(0.5, 0.25, lip) == pytest.approx(float(np.sqrt(np.mean(m**2))))
@@ -105,7 +102,7 @@ class TestEvaluateBounds:
         ref = reference_solve(problem, tol=1e-12)
         consts = sample_constants(problem)
         trace = run(problem, SPSPlus(), RunConfig(iterations=2000, seed=0, reference=ref, eval_every=100))
-        rc = RateConstants(l_max=consts.l_max, g_max=consts.g_max, g_sq_sum=consts.g_sq_sum, n=problem.n)
+        rc = RateConstants(l_max=consts.l_max, g_max=consts.g_max)
         report = evaluate_bounds(trace, ref, rc, BoundKind.SPS_PLUS_SMOOTH)
         assert report.satisfied
         assert report.lhs <= report.rhs
@@ -114,7 +111,7 @@ class TestEvaluateBounds:
         problem = interpolating()
         ref = reference_solve(problem)
         trace = run(problem, SPSPlus(), RunConfig(iterations=100, seed=0, reference=ref, eval_every=10))
-        rc = RateConstants(l_max=1.0, g_max=None, g_sq_sum=None, n=problem.n)
+        rc = RateConstants(l_max=1.0, g_max=None)
         report = evaluate_bounds(trace, ref, rc, BoundKind.SPS_PLUS_LIPSCHITZ)
         assert not report.satisfied
         assert "unavailable" in report.note
@@ -124,9 +121,28 @@ class TestEvaluateBounds:
         ref = reference_solve(problem)
         consts = sample_constants(problem)
         trace = run(problem, SPSPlus(), RunConfig(iterations=1, seed=0, reference=ref, eval_every=1))
-        rc = RateConstants(l_max=consts.l_max, g_max=None, g_sq_sum=None, n=problem.n)
+        rc = RateConstants(l_max=consts.l_max, g_max=None)
         report = evaluate_bounds(trace, ref, rc, BoundKind.SPS_PLUS_SMOOTH)
         # rhs = 2 L ||w0 - w*||^2 dominates the initial suboptimality by smoothness
+        assert report.satisfied
+
+    def test_prox_linear_bound_on_logistic(self):
+        # lambda = delta = the schedule base: prox_linear_rule's identification
+        # of the single-scale step with the two-scale one
+        problem, _ = gen_synthetic(SyntheticSpec(n=30, d=5, seed=3, mode=SyntheticMode.LOGISTIC))
+        ref = reference_solve(problem, tol=1e-8)
+        assert ref.converged
+        consts = sample_constants(problem)
+        base, T = 1.0, 2000
+        config = RunConfig(iterations=T, seed=0, reference=ref, eval_every=T, average=True)
+        trace = run(problem, ProxLinearAppC(inv_sqrt(base)), config)
+        s0 = initial_slack(problem, np.zeros(problem.dim), SInit.AT_W0)
+        rc = RateConstants(l_max=consts.l_max, g_max=consts.g_max)
+        report = evaluate_bounds(
+            trace, ref, rc, BoundKind.PROX_LINEAR, problem=problem, lam=base, delta=base, s0=s0
+        )
+        assert report.lhs == trace.f_lavg[-1] - ref.f_star
+        assert -1e-12 <= report.lhs <= report.rhs
         assert report.satisfied
 
 
@@ -198,6 +214,17 @@ class TestGridSearch:
         table = grid_search(problem, ref, ["gd"], [], np.array([huge]), iterations=200)
         assert table.rows[0].diverged
         assert math.isinf(table.rows[0].subopt_mean)
+
+    def test_bad_step_scale_is_an_inf_row(self):
+        # every family refuses a step scale that is not finite and positive
+        problem = interpolating(n=10, d=3, seed=8)
+        ref = reference_solve(problem)
+        etas = np.array([-1.0, 0.1, math.inf, math.nan])
+        table = grid_search(problem, ref, ["gd", "sgd", "fuval"], [ScalingScheme.NAIVE], etas, iterations=20)
+        assert len(table.rows) == 12
+        for row in table.rows:
+            assert row.diverged == (row.eta != 0.1), row
+            assert math.isinf(row.subopt_mean) == row.diverged
 
     def test_gd_u_shape_with_divergence_above_threshold(self):
         # classical stability: GD diverges above 2/L of the batch objective

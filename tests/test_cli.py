@@ -65,6 +65,20 @@ class TestReference:
         assert list(tmp_path.glob("ref-*.npz"))
 
 
+    def test_cache_keyed_by_exact_tolerance(self, runner, tmp_path):
+        # 1.4e-3 and 1e-3 used to share one file name ("1e-03")
+        synth = ["--synthetic", "logistic:n=20,d=3,seed=1"]
+        runner.invoke(main, ["reference", *synth, "--tol", "1.4e-3", "--out", str(tmp_path)])
+        result = runner.invoke(
+            main,
+            ["fit", *synth, "--method", "sgd", "--iterations", "5", "--out", str(tmp_path),
+             "--solve-reference", "--ref-tol", "1e-3"],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(list(tmp_path.glob("ref-*.npz"))) == 2
+        assert "reference_tol=0.001" in next(tmp_path.glob("sgd-*.meta")).read_text().split("\n")
+
+
 class TestNonConvergedReference:
     """A reference that did not reach its tolerance is used, with a warning
     on stderr; fit records its state in the .meta sidecar."""
@@ -200,6 +214,37 @@ class TestFit:
              "--iterations", "10", "--out", str(tmp_path / "runs")],
         )
         assert result.exit_code == 0, result.output
+
+
+FIT = ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--iterations", "10"]
+GRID = ["grid", "--synthetic", "interp:n=10,d=3,seed=1", "--methods", "sgd", "--eta-grid", "0.1", "--jobs", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        FIT + ["--method", "sgd", "--eta", "-1"],
+        FIT + ["--method", "gd", "--eta", "0"],
+        FIT + ["--method", "fuval", "--eta", "-1"],
+        *(FIT + ["--method", method, "--eta", "nan"] for method in ("sgd", "gd", "proxlin", "fuval")),
+        FIT + ["--method", "sgd", "--eta", "inf"],
+        FIT + ["--method", "fuval", "--penalty-c", "nan"],
+        FIT + ["--method", "proxlin", "--penalty-c", "nan"],
+        FIT + ["--method", "sgd", "--eval-every", "0"],
+        ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--method", "sgd", "--iterations", "-5"],
+        ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--method", "sgd", "--epochs", "-1"],
+        GRID + ["--iterations", "-5"],
+    ],
+    ids=lambda args: " ".join(args[args.index("--synthetic") + 2:]),
+)
+def test_bad_input_exits_2_with_one_error_line(runner, tmp_path, args):
+    out = str(tmp_path / "s.csv") if args[0] == "grid" else str(tmp_path)
+    result = runner.invoke(main, args + ["--out", out])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
 
 
 class TestGrid:

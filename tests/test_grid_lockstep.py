@@ -175,7 +175,9 @@ def test_parallel_seeds_equal_serial_and_run(least_squares_case):
     assert_rows_equal_run(serial, problem, ref, seeds, iterations=200)
 
 
-TRACE_FIELDS = ["eval_t", "sample", "tau", "f", "subopt", "grad_sq", "stepsize", "final_w", "final_s"]
+TRACE_FIELDS = [
+    "eval_t", "sample", "tau", "f", "subopt", "grad_sq", "stepsize", "f_avg", "f_lavg", "final_w", "final_s"
+]
 
 
 def mixed_methods(diverging):
@@ -226,19 +228,18 @@ def test_mixed_pass_equals_a_lone_run_of_each_cell(case, request):
         assert_traces_equal(trace, run(problem, method, config))
 
 
-def test_stored_iterates_and_lambdas(least_squares_case):
+def test_running_averages_equal_a_lone_run(least_squares_case):
     problem, ref = least_squares_case
     fuval = Fuval(FuvalParams(inv_sqrt(0.5), constant(0.2)))
     proxlin = ProxLinearAppC(inv_sqrt(1.0))
     methods = [SGD(step=0.05), fuval, proxlin, SGD(step=100.0)]
-    config = RunConfig(iterations=200, seed=1, reference=ref, eval_every=10**6, store_iterates=True)
+    config = RunConfig(iterations=200, seed=1, reference=ref, eval_every=7, average=True)
     traces = _run_lockstep(problem, methods, config)
     for method, trace in zip(methods, traces):
-        expected = run(problem, method, config)
-        np.testing.assert_array_equal(trace.iterates, expected.iterates)
-        np.testing.assert_array_equal(trace.lambdas, expected.lambdas)
+        assert_traces_equal(trace, run(problem, method, config))
     sgd, fuval_trace, proxlin_trace, diverged = traces
-    assert fuval_trace.lambdas.tolist() == [fuval.params.lambda_schedule.value(t) for t in range(200)]
-    assert proxlin_trace.lambdas.tolist() == [proxlin.lambda_schedule.value(t) for t in range(200)]
-    assert sgd.lambdas.shape == (0,) and diverged.lambdas.shape == (0,)
-    assert diverged.diverged and diverged.iterates.shape[0] == diverged.eval_t[-1] + 1
+    for trace in traces:
+        assert math.isnan(trace.f_avg[0]) and math.isnan(trace.f_lavg[0])
+    assert np.isfinite(fuval_trace.f_lavg[1:]).all() and np.isfinite(proxlin_trace.f_lavg[1:]).all()
+    assert np.isfinite(sgd.f_avg[1:]).all() and np.isnan(sgd.f_lavg).all()  # SGD has no lambda schedule
+    assert diverged.diverged and diverged.f_avg.shape == diverged.eval_t.shape

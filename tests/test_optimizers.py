@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fuvalkit import problems
-from fuvalkit.bench import ReferenceSolution, reference_solve
+from fuvalkit.bench import BoundKind, RateConstants, ReferenceSolution, evaluate_bounds, reference_solve
 from fuvalkit.dataio import SyntheticMode, SyntheticSpec, gen_synthetic
 from fuvalkit.optimizers import (
     GD,
@@ -21,8 +21,6 @@ from fuvalkit.optimizers import (
     ScalingScheme,
     SInit,
     SPSPlus,
-    Weighting,
-    averaged_iterate,
     constant,
     fuval_full_batch_step,
     fuval_step,
@@ -67,6 +65,38 @@ class TestSchedules:
     def test_positive_base_required(self):
         with pytest.raises(ConfigurationError):
             constant(0.0)
+
+
+class TestRefusedSettings:
+    """Step scales must be finite and positive, a penalty multiplier >= 1
+    (NaN included), the run length non-negative and eval_every at least 1."""
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_step_scale(self, bad):
+        problem = make_problem()
+        for build in (SGD, GD, constant, inv_sqrt):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                build(bad)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            resolve_scaling(ScalingScheme.NAIVE, bad, problem, np.zeros(problem.dim))
+
+    @pytest.mark.parametrize("bad", [0.5, math.nan])
+    def test_penalty_multiplier(self, bad):
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            FuvalParams(constant(1.0), constant(1.0), c_penalty=bad)
+        with pytest.raises(ConfigurationError, match=">= 1"):
+            ProxLinearAppC(constant(1.0), c_penalty=bad)
+
+    @pytest.mark.parametrize(
+        "length", [dict(iterations=5, eval_every=0), dict(epochs=1, eval_every=-2), dict(iterations=-5), dict(epochs=-1)]
+    )
+    def test_run_config(self, length):
+        with pytest.raises(ConfigurationError):
+            RunConfig(**length)
+
+    def test_zero_steps_allowed(self):
+        trace = run(make_problem(), SGD(step=0.1), RunConfig(iterations=0))
+        assert trace.eval_t.tolist() == [0]
 
 
 class TestScalingSchemes:
@@ -360,47 +390,56 @@ class TestRunLoop:
 
 
 class TestAveraging:
-    def _trace(self, store=True):
+    """f_avg and f_lavg against the averages of a fuval_step replay of run()'s
+    index stream; eval_every=1 records every sampled row."""
+
+    T = 20
+
+    def _run(self, average=True):
         problem = interpolating()
-        params = FuvalParams(lambda_schedule=inv_sqrt(0.5), delta_schedule=inv_sqrt(0.5))
-        return problem, run(
-            problem, Fuval(params), RunConfig(iterations=20, seed=0, eval_every=5, store_iterates=store)
-        )
+        params = FuvalParams(lambda_schedule=inv_sqrt(0.5), delta_schedule=inv_sqrt(0.3))
+        config = RunConfig(iterations=self.T, seed=0, eval_every=1, average=average)
+        return problem, params, run(problem, Fuval(params), config)
+
+    def _replay(self, problem, params, trace):
+        """w^0..w^T and lambda_0..lambda_{T-1} from the step function."""
+        w0 = np.zeros(problem.dim)
+        state = IterateState(w=w0, s=initial_slack(problem, w0, SInit.AT_W0))
+        iterates, lams = [w0], []
+        for t, j in enumerate(trace.sample[1:]):
+            lam_t = params.lambda_schedule.value(t)
+            state, _ = fuval_step(problem, state, params, int(j), lam_t, params.delta_schedule.value(t))
+            iterates.append(state.w)
+            lams.append(lam_t)
+        np.testing.assert_allclose(state.w, trace.final_w, rtol=1e-13)
+        return np.array(iterates), np.array(lams)
 
     def test_uniform_average(self):
-        _, trace = self._trace()
-        manual = trace.iterates[:20].mean(axis=0)
-        np.testing.assert_allclose(averaged_iterate(trace, Weighting.UNIFORM), manual, rtol=1e-12)
+        problem, params, trace = self._run()
+        iterates, _ = self._replay(problem, params, trace)
+        expected = [objective(problem, iterates[:t].mean(axis=0)) for t in range(1, self.T + 1)]
+        assert math.isnan(trace.f_avg[0])
+        np.testing.assert_allclose(trace.f_avg[1:], expected, rtol=1e-12)
 
     def test_lambda_weighted_average(self):
-        _, trace = self._trace()
-        lam = trace.lambdas
-        manual = (lam[:, None] * trace.iterates[1:]).sum(axis=0) / lam.sum()
-        np.testing.assert_allclose(
-            averaged_iterate(trace, Weighting.LAMBDA_WEIGHTED), manual, rtol=1e-12
-        )
+        problem, params, trace = self._run()
+        iterates, lams = self._replay(problem, params, trace)
+        expected = [
+            objective(problem, (lams[:t, None] * iterates[1 : t + 1]).sum(axis=0) / lams[:t].sum())
+            for t in range(1, self.T + 1)
+        ]
+        assert math.isnan(trace.f_lavg[0])
+        np.testing.assert_allclose(trace.f_lavg[1:], expected, rtol=1e-12)
 
-    def test_theta_weighted_average(self):
-        problem, trace = self._trace()
-        gamma, n = 1.0, problem.n
-        theta = n / (n + 2 * gamma**2)
-        weights = theta ** np.arange(1, 21)
-        manual = (weights[:, None] * trace.iterates[:20]).sum(axis=0) / weights.sum()
-        np.testing.assert_allclose(
-            averaged_iterate(trace, Weighting.THETA_WEIGHTED, gamma=gamma, n=n), manual, rtol=1e-12
-        )
-
-    def test_upto_truncation(self):
-        _, trace = self._trace()
-        manual = trace.iterates[:7].mean(axis=0)
-        np.testing.assert_allclose(
-            averaged_iterate(trace, Weighting.UNIFORM, upto=7), manual, rtol=1e-12
-        )
-
-    def test_requires_stored_iterates(self):
-        _, trace = self._trace(store=False)
-        with pytest.raises(ConfigurationError):
-            averaged_iterate(trace, Weighting.UNIFORM)
+    def test_bounds_require_average(self):
+        problem, _, trace = self._run(average=False)
+        assert trace.f_avg is None and trace.f_lavg is None
+        ref = reference_solve(problem)
+        rc = RateConstants(l_max=1.0, g_max=1.0, gamma=0.5)
+        args = dict(problem=problem, lam=0.1, delta=0.1, s0=np.zeros(problem.n))
+        for kind in (BoundKind.FUVAL_SGD, BoundKind.PROX_LINEAR):
+            with pytest.raises(ConfigurationError, match="average=True"):
+                evaluate_bounds(trace, ref, rc, kind, **args)
 
 
 def sparse_problem(kind=LossKind.LOGISTIC, n=60, d=200, nnz=3, seed=4):

@@ -154,7 +154,6 @@ class TestSampleConstants:
         np.testing.assert_allclose(c.smoothness, norms**2 / 4, rtol=1e-12)
         assert c.g_max == pytest.approx(norms.max())
         assert c.l_max == pytest.approx((norms**2).max() / 4)
-        assert c.g_sq_sum == pytest.approx(np.sum(norms**2))
         np.testing.assert_array_equal(c.inf_fi, np.zeros(problem.n))
 
     def test_least_squares_constants(self):
@@ -163,7 +162,6 @@ class TestSampleConstants:
         norms_sq = np.array([e.norm_sq() for e in problem.examples])
         assert c.lipschitz is None
         assert c.g_max is None
-        assert c.g_sq_sum is None
         np.testing.assert_allclose(c.smoothness, norms_sq, rtol=1e-12)
         assert c.l_max == pytest.approx(norms_sq.max())
 
