@@ -421,6 +421,18 @@ class TestAveraging:
         assert math.isnan(trace.f_avg[0])
         np.testing.assert_allclose(trace.f_avg[1:], expected, rtol=1e-12)
 
+    def test_upto_truncation(self):
+        """A run evaluated every 7 steps records f at the mean of the first 7
+        iterates at t = 7: skipped evaluations leave the running sums intact."""
+        problem, params, trace = self._run()
+        iterates, _ = self._replay(problem, params, trace)
+        config = RunConfig(iterations=self.T, seed=0, eval_every=7, average=True)
+        sparse = run(problem, Fuval(params), config)
+        at7 = int(np.flatnonzero(sparse.eval_t == 7)[0])
+        np.testing.assert_allclose(
+            sparse.f_avg[at7], objective(problem, iterates[:7].mean(axis=0)), rtol=1e-12
+        )
+
     def test_lambda_weighted_average(self):
         problem, params, trace = self._run()
         iterates, lams = self._replay(problem, params, trace)
