@@ -80,32 +80,42 @@ def reference_solve(
 ) -> ReferenceSolution:
     """Full-batch gradient descent with backtracking line search until the
     gradient norm drops below tol.  Returns the best iterate flagged
-    not-converged when the iteration cap is hit."""
+    not-converged when the iteration cap is hit, or as soon as an iteration
+    leaves w and the step bit-identical: every remaining iteration would
+    repeat it, so the cap's result is known."""
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"tol must be finite and positive, got {tol!r}")
     w = np.zeros(problem.dim) if w0 is None else w0.astype(float).copy()
     if not np.all(np.isfinite(w)):
         raise ConfigurationError("w0 must be finite")
     f = objective(problem, w)
     step = 1.0
     armijo = 0.5e-4
-    converged = True
+    converged = False
     for _ in range(max_iters):
         g = objective_grad(problem, w)
         g_norm = float(np.linalg.norm(g))
         if g_norm <= tol:
+            converged = True
             break
         g_sq = g_norm * g_norm
         # backtracking halving with a little growth to recover long steps
+        last_step = step
         step = min(step * 2.0, 1e8)
         while True:
             f_new = objective(problem, w - step * g)
             if f_new <= f - armijo * step * g_sq or step < 1e-18:
                 break
             step *= 0.5
-        w = w - step * g
+        w_new = w - step * g
+        if step == last_step and w_new.tobytes() == w.tobytes():
+            # f and g are functions of w's bits, so every later iteration
+            # repeats this one; g_norm is the gradient at the last iterate
+            break
+        w = w_new
         f = f_new
     else:  # the cap was hit: report the gradient at the last iterate
         g_norm = float(np.linalg.norm(objective_grad(problem, w)))
-        converged = False
 
     consts = sample_constants(problem)
     return ReferenceSolution(

@@ -147,7 +147,7 @@ def get_reference(
         if cache.exists():
             ref = load_reference(cache)
         else:
-            ref = reference_solve(problem, tol=tol)
+            ref = _solve_reference(problem, tol)
             save_reference(ref, cache)
     else:
         return None
@@ -158,6 +158,13 @@ def get_reference(
             err=True,
         )
     return ref
+
+
+def _solve_reference(problem: Problem, tol: float) -> ReferenceSolution:
+    try:
+        return reference_solve(problem, tol=tol)
+    except ConfigurationError as exc:
+        _fail_config(str(exc))
 
 
 problem_options = [
@@ -208,7 +215,7 @@ def reference(data, synthetic, loss, tol, out):
     problem = load_problem(data, synthetic, loss)
     out_dir = Path(out)
     cache = reference_cache_path(problem, tol, out_dir)
-    ref = reference_solve(problem, tol=tol)
+    ref = _solve_reference(problem, tol)
     save_reference(ref, cache)
     status = "converged" if ref.converged else "NOT converged"
     click.echo(f"f_star={ref.f_star:.17g} sigma={ref.sigma:.17g} ({status}) -> {cache}")
@@ -309,20 +316,26 @@ def grid(
     seeds, jobs, out, reference_path, ref_tol,
 ):
     """Stepsize-sensitivity sweep; writes one CSV row per (method, scheme, eta)."""
-    problem = load_problem(data, synthetic, loss)
-    out_path = Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    ref = get_reference(problem, reference_path, True, ref_tol, out_path.parent)
-
+    # every option is read before the problem is loaded or its reference solved
     families = [m.strip() for m in methods.split(",") if m.strip()]
     for fam in families:
         if fam not in ("gd", "sgd", "fuval", "fuval-full"):
             _fail_config(f"unknown method family {fam!r} for grid")
     try:
         scheme_list = [ScalingScheme(s.strip()) for s in schemes.split(",") if s.strip()]
+        RunConfig(iterations=iterations, epochs=epochs).total_steps(0)  # one run length, not negative
     except ValueError as exc:
         _fail_config(str(exc))
+    try:
+        seed_list = [int(s) for s in seeds.split(",")]
+    except ValueError:
+        _fail_config(f"--seeds: expected comma-separated integers, got {seeds!r}")
     etas = parse_eta_grid(eta_grid)
+
+    problem = load_problem(data, synthetic, loss)
+    out_path = Path(out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    ref = get_reference(problem, reference_path, True, ref_tol, out_path.parent)
 
     try:
         table = grid_search(
@@ -333,7 +346,7 @@ def grid(
             etas,
             iterations=iterations,
             epochs=epochs,
-            seeds=[int(s) for s in seeds.split(",")],
+            seeds=seed_list,
             jobs=jobs,
         )
     except ConfigurationError as exc:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fuvalkit import bench
 from fuvalkit.bench import (
     SENSITIVITY_HEADER,
     TRACE_HEADER,
@@ -39,7 +40,15 @@ from fuvalkit.optimizers import (
     resolve_scaling,
     run,
 )
-from fuvalkit.problems import LossKind, Problem, SparseExample, objective, sample_constants
+from fuvalkit.problems import (
+    LossKind,
+    Problem,
+    SparseExample,
+    objective,
+    objective_grad,
+    per_sample_values,
+    sample_constants,
+)
 
 
 def interpolating(n=20, d=5, seed=1):
@@ -86,6 +95,59 @@ class TestReferenceSolve:
     def test_iteration_cap_flags_not_converged(self):
         ref = reference_solve(interpolating(), tol=1e-30, max_iters=5)
         assert not ref.converged
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_tolerance_refused(self, tol):
+        with pytest.raises(ConfigurationError, match="tol must be finite and positive"):
+            reference_solve(interpolating(), tol=tol)
+
+    @staticmethod
+    def _solve_to_the_cap(problem, tol, max_iters, w0):
+        """The solve without its fixed-point stop: every iteration up to the cap."""
+        w = w0
+        f = objective(problem, w)
+        step = 1.0
+        for _ in range(max_iters):
+            g = objective_grad(problem, w)
+            g_norm = float(np.linalg.norm(g))
+            if g_norm <= tol:
+                return w, f, g_norm, True
+            step = min(step * 2.0, 1e8)
+            while True:
+                f_new = objective(problem, w - step * g)
+                if f_new <= f - 0.5e-4 * step * g_norm * g_norm or step < 1e-18:
+                    break
+                step *= 0.5
+            w = w - step * g
+            f = f_new
+        return w, f, float(np.linalg.norm(objective_grad(problem, w))), False
+
+    @pytest.mark.parametrize(
+        "problem,w0,max_grads",
+        [
+            (gen_synthetic(SyntheticSpec(n=30, d=5, seed=6, mode=SyntheticMode.NOISY_LEAST_SQUARES, noise_std=0.5))[0],
+             None, 100),
+            (gen_synthetic(SyntheticSpec(n=50, d=10, seed=99, mode=SyntheticMode.LOGISTIC))[0], None, 300),
+            (interpolating(n=30, d=5, seed=6), None, 100),  # converges before it could stall
+            # w and f stay put while the accepted step doubles, until w + step*g
+            # rounds to a new float: a fixed w and f with a new step is no fixed point
+            (Problem(examples=[SparseExample(label=1e10, indices=np.array([1]), values=np.array([1e-10]), dim=1)],
+                     loss_kind=LossKind.LEAST_SQUARES), np.array([1e17]), 3001),
+        ],
+        ids=["noisy-stall", "logistic-stall", "converges", "step-grows"],
+    )
+    def test_stalled_solve_stops_with_the_caps_result(self, problem, w0, max_grads, monkeypatch):
+        tol, cap = 1e-12, 3000
+        w0 = np.zeros(problem.dim) if w0 is None else w0
+        w, f, g_norm, converged = self._solve_to_the_cap(problem, tol, cap, w0)
+        calls = []
+        monkeypatch.setattr(bench, "objective_grad", lambda p, w: calls.append(1) or objective_grad(p, w))
+        ref = reference_solve(problem, tol=tol, max_iters=cap, w0=w0)
+        assert ref.w_star.tobytes() == w.tobytes()
+        assert (ref.f_star, ref.grad_norm_at_solution, ref.converged) == (f, g_norm, converged)
+        assert ref.per_sample_f_star.tobytes() == per_sample_values(problem, w).tobytes()
+        assert ref.sigma == f - float(np.mean(sample_constants(problem).inf_fi))
+        assert len(calls) <= max_grads  # a stall stops long before the cap
 
 
 class TestRateConstants:

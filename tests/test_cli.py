@@ -234,6 +234,12 @@ GRID = ["grid", "--synthetic", "interp:n=10,d=3,seed=1", "--methods", "sgd", "--
         ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--method", "sgd", "--iterations", "-5"],
         ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--method", "sgd", "--epochs", "-1"],
         GRID + ["--iterations", "-5"],
+        GRID + ["--iterations", "5", "--seeds", "a"],
+        GRID + ["--iterations", "5", "--seeds", ""],
+        GRID + ["--iterations", "5", "--ref-tol", "nan"],
+        FIT + ["--method", "sgd", "--solve-reference", "--ref-tol", "-1"],
+        ["reference", "--synthetic", "interp:n=10,d=3,seed=1", "--tol", "nan"],
+        ["reference", "--synthetic", "interp:n=10,d=3,seed=1", "--tol", "0"],
     ],
     ids=lambda args: " ".join(args[args.index("--synthetic") + 2:]),
 )
@@ -245,6 +251,7 @@ def test_bad_input_exits_2_with_one_error_line(runner, tmp_path, args):
     assert "Traceback" not in result.output
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert not list(tmp_path.rglob("*.npz"))  # no reference was solved or cached
 
 
 class TestGrid:
