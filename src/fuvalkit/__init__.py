@@ -46,7 +46,6 @@ from .problems import (
     ContractViolation,
     LossKind,
     Problem,
-    SparseExample,
     loss_grad,
     loss_value,
     objective,

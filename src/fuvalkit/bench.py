@@ -239,14 +239,6 @@ class SensitivityRow:
 class SensitivityTable:
     rows: list[SensitivityRow] = field(default_factory=list)
 
-    def best(self, method: str | None = None) -> float:
-        vals = [
-            r.subopt_mean
-            for r in self.rows
-            if not r.diverged and (method is None or r.method == method)
-        ]
-        return min(vals) if vals else math.inf
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -330,6 +322,16 @@ def _run_seed_in_worker(seed: int) -> list[tuple[float, float]]:
     return _run_seed(*_WORKER_ARGS, seed)
 
 
+def check_eta_grid(eta_grid) -> np.ndarray:
+    """The grid as a float array, refused when it is empty or repeats an eta."""
+    etas = np.asarray(eta_grid, dtype=float)
+    if etas.size == 0:
+        raise ConfigurationError("eta grid must be nonempty")
+    if np.unique(etas).size != etas.size:
+        raise ConfigurationError("duplicate eta in grid")
+    return etas
+
+
 def grid_search(
     problem: Problem,
     reference: ReferenceSolution,
@@ -349,11 +351,7 @@ def grid_search(
     Each seed is one unit of work; `jobs` > 1 runs the seeds in a process
     pool that receives the problem once per worker.
     """
-    etas = np.asarray(eta_grid, dtype=float)
-    if etas.size == 0:
-        raise ConfigurationError("eta grid must be nonempty")
-    if np.unique(etas).size != etas.size:
-        raise ConfigurationError("duplicate eta in grid")
+    etas = check_eta_grid(eta_grid)
     seeds = seeds or [0]
     # exactly one run length is set, non-negative, and eval_every is at least 1
     RunConfig(iterations=iterations, epochs=epochs, eval_every=eval_every).total_steps(problem.n)

@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bench import ReferenceSolution, build_method, export_csv, grid_search, reference_solve
+from .bench import ReferenceSolution, build_method, check_eta_grid, export_csv, grid_search, reference_solve
 from .dataio import SyntheticMode, SyntheticSpec, gen_synthetic, parse_libsvm, serialize_libsvm
 from .optimizers import ConfigurationError, RunConfig, ScalingScheme, constant, inv_sqrt, run
 from .problems import LossKind, Problem
@@ -63,12 +63,12 @@ def parse_eta_grid(text: str) -> np.ndarray:
         try:
             lo, hi, k = text[len("logspace:"):].split(",")
             return np.logspace(math.log10(float(lo)), math.log10(float(hi)), int(k))
-        except ValueError as exc:
-            raise click.BadParameter(f"expected logspace:lo,hi,k; got {text!r}") from exc
+        except ValueError:
+            _fail_config(f"--eta-grid: expected logspace:lo,hi,k with lo, hi > 0; got {text!r}")
     try:
         return np.array([float(v) for v in text.split(",")])
-    except ValueError as exc:
-        raise click.BadParameter(f"bad eta grid {text!r}") from exc
+    except ValueError:
+        _fail_config(f"--eta-grid: expected logspace:lo,hi,k or comma-separated numbers; got {text!r}")
 
 
 def _resolve_data_path(path: str) -> Path:
@@ -330,7 +330,10 @@ def grid(
         seed_list = [int(s) for s in seeds.split(",")]
     except ValueError:
         _fail_config(f"--seeds: expected comma-separated integers, got {seeds!r}")
-    etas = parse_eta_grid(eta_grid)
+    try:
+        etas = check_eta_grid(parse_eta_grid(eta_grid))
+    except ConfigurationError as exc:
+        _fail_config(f"--eta-grid: {exc}")
 
     problem = load_problem(data, synthetic, loss)
     out_path = Path(out)

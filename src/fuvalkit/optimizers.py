@@ -15,7 +15,6 @@ import numpy as np
 from .problems import (
     ContractViolation,
     Problem,
-    SampleConstants,
     _grad_coef,
     _loss,
     loss_grad,
@@ -87,18 +86,17 @@ def resolve_scaling(
     eta: float,
     problem: Problem,
     w0: np.ndarray,
-    constants: SampleConstants | None = None,
 ) -> tuple[float, float]:
     """Map (scheme, eta, problem statistics at w0) to base (lambda, delta)."""
     if not 0 < eta < math.inf:
         raise ConfigurationError("stepsize factor eta must be finite and positive")
     if scheme is ScalingScheme.NAIVE:
         return eta, eta
-
-    if constants is None:
-        constants = sample_constants(problem)
+    if scheme in (ScalingScheme.REMARK_LIPSCHITZ, ScalingScheme.REMARK_FV) and float(w0 @ w0) == 0.0:
+        raise ConfigurationError(f"scheme {scheme.value} scales lambda by ||w0||^2 and needs a nonzero w0")
 
     if scheme is ScalingScheme.REMARK_LIPSCHITZ:
+        constants = sample_constants(problem)
         if constants.g_max is None:
             # least squares has no global Lipschitz constant; fall back to
             # the function-value variant

@@ -23,48 +23,6 @@ class LossKind(enum.Enum):
     LEAST_SQUARES = "least_squares"
 
 
-@dataclass(frozen=True)
-class SparseExample:
-    """One row as a standalone value: a label and a sparse feature vector.
-
-    Feature indices are 1-based (LIBSVM convention) and strictly increasing.
-    A Problem stores its rows as CSR arrays; this is the per-row view that
-    `Problem(examples=...)` accepts and `problem.examples` returns.
-    """
-
-    label: float
-    indices: np.ndarray  # int64, 1-based, strictly increasing
-    values: np.ndarray  # float64, same length as indices
-    dim: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.shape != val.shape:
-            raise ContractViolation("indices and values must have equal length")
-        if idx.size and (np.any(np.diff(idx) <= 0) or idx[0] < 1):
-            raise ContractViolation("feature indices must be >= 1 and strictly increasing")
-        if self.dim < 1 or (idx.size and idx[-1] > self.dim):
-            raise ContractViolation("feature index exceeds declared dimension")
-        if not np.all(np.isfinite(val)) or not math.isfinite(self.label):
-            raise ContractViolation("labels and feature values must be finite")
-
-    def dot(self, w: np.ndarray) -> float:
-        if self.indices.size == 0:
-            return 0.0
-        return float(self.values @ w[self.indices - 1])
-
-    def norm_sq(self) -> float:
-        return float(self.values @ self.values)
-
-    def dense(self) -> np.ndarray:
-        x = np.zeros(self.dim)
-        x[self.indices - 1] = self.values
-        return x
-
-
 # Full-data passes (objective, gradient, all per-sample values) run on a
 # dense copy of X when at least this fraction of its entries is stored, and on
 # numpy CSR kernels below it. Measured crossover of one X.w plus one X^T.u,
@@ -82,33 +40,11 @@ class Problem:
     reaches DENSE_MIN_DENSITY, a dense n x dim copy is built here, once, and
     full-data passes use it.
 
-    Build it from the arrays (`labels=`, `indptr=`, `indices=`, `data=`) or
-    from a list of SparseExample rows (`examples=`). All arrays are read-only.
+    `dim` = 0 infers the dimension from the largest stored column. All arrays
+    are read-only.
     """
 
-    def __init__(
-        self,
-        examples: list[SparseExample] | None = None,
-        loss_kind: LossKind | None = None,
-        dim: int = 0,
-        *,
-        labels=None,
-        indptr=None,
-        indices=None,
-        data=None,
-    ):
-        if loss_kind is None:
-            raise TypeError("Problem needs a loss_kind")
-        if examples is not None:
-            if not examples:
-                raise ContractViolation("a problem needs at least one example")
-            dim = dim or max(e.dim for e in examples)
-            if any(e.dim != dim for e in examples):
-                raise ContractViolation("all examples must share the problem dimension")
-            labels = [e.label for e in examples]
-            indptr = np.cumsum([0] + [e.indices.size for e in examples])
-            indices = np.concatenate([e.indices for e in examples]) - 1
-            data = np.concatenate([e.values for e in examples])
+    def __init__(self, *, loss_kind: LossKind, labels, indptr, indices, data, dim: int = 0):
         labels = np.asarray(labels, dtype=np.float64)
         indptr = np.asarray(indptr, dtype=np.intp)
         indices = np.asarray(indices, dtype=np.intp)
@@ -121,7 +57,7 @@ class Problem:
         if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
             raise ContractViolation("indptr must rise from 0 to the number of stored entries")
         dim = dim or int(indices.max(initial=0)) + 1
-        if indices.size and (indices.min() < 0 or indices.max() >= dim):
+        if dim < 1 or (indices.size and (indices.min() < 0 or indices.max() >= dim)):
             raise ContractViolation("feature index exceeds declared dimension")
         rising = np.diff(indices) > 0
         starts = indptr[1:-1]
@@ -146,14 +82,6 @@ class Problem:
         """0-based columns and values of the i-th row (i is 1-based)."""
         a, b = self.indptr[i - 1], self.indptr[i]
         return self.indices[a:b], self.data[a:b]
-
-    @property
-    def examples(self) -> list[SparseExample]:
-        """The rows as SparseExample objects (1-based indices), built on demand."""
-        return [
-            SparseExample(label=y, indices=cols + 1, values=vals, dim=self.dim)
-            for y, (cols, vals) in zip(self.labels.tolist(), map(self.row, range(1, self.n + 1)))
-        ]
 
 
 def _scatter(problem: Problem) -> np.ndarray:

@@ -38,7 +38,6 @@ from fuvalkit.optimizers import (
 from fuvalkit.problems import (
     LossKind,
     Problem,
-    SparseExample,
     loss_grad,
     loss_value,
     objective,
@@ -63,11 +62,14 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
 def scale_least_squares(problem: Problem, alpha: float) -> Problem:
     """Rescale every loss term by alpha (multiply features and labels by sqrt(alpha))."""
     root = math.sqrt(alpha)
-    examples = [
-        SparseExample(label=ex.label * root, indices=ex.indices, values=ex.values * root, dim=ex.dim)
-        for ex in problem.examples
-    ]
-    return Problem(examples=examples, loss_kind=problem.loss_kind, dim=problem.dim)
+    return Problem(
+        loss_kind=problem.loss_kind,
+        dim=problem.dim,
+        labels=problem.labels * root,
+        indptr=problem.indptr,
+        indices=problem.indices,
+        data=problem.data * root,
+    )
 
 
 def test_01_projection_oracles():

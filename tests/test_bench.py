@@ -43,7 +43,6 @@ from fuvalkit.optimizers import (
 from fuvalkit.problems import (
     LossKind,
     Problem,
-    SparseExample,
     objective,
     objective_grad,
     per_sample_values,
@@ -58,8 +57,7 @@ def interpolating(n=20, d=5, seed=1):
 
 def two_point_least_squares():
     # {(x=1, y=0), (x=1, y=2)}: w* = 1, f* = 0.5
-    ex = lambda y: SparseExample(label=y, indices=np.array([1]), values=np.array([1.0]), dim=1)
-    return Problem(examples=[ex(0.0), ex(2.0)], loss_kind=LossKind.LEAST_SQUARES)
+    return Problem(loss_kind=LossKind.LEAST_SQUARES, labels=[0.0, 2.0], indptr=[0, 1, 2], indices=[0, 0], data=[1.0, 1.0])
 
 
 class TestReferenceSolve:
@@ -131,8 +129,8 @@ class TestReferenceSolve:
             (interpolating(n=30, d=5, seed=6), None, 100),  # converges before it could stall
             # w and f stay put while the accepted step doubles, until w + step*g
             # rounds to a new float: a fixed w and f with a new step is no fixed point
-            (Problem(examples=[SparseExample(label=1e10, indices=np.array([1]), values=np.array([1e-10]), dim=1)],
-                     loss_kind=LossKind.LEAST_SQUARES), np.array([1e17]), 3001),
+            (Problem(loss_kind=LossKind.LEAST_SQUARES, labels=[1e10], indptr=[0, 1], indices=[0], data=[1e-10]),
+             np.array([1e17]), 3001),
         ],
         ids=["noisy-stall", "logistic-stall", "converges", "step-grows"],
     )

@@ -237,6 +237,8 @@ GRID = ["grid", "--synthetic", "interp:n=10,d=3,seed=1", "--methods", "sgd", "--
         GRID + ["--iterations", "5", "--seeds", "a"],
         GRID + ["--iterations", "5", "--seeds", ""],
         GRID + ["--iterations", "5", "--ref-tol", "nan"],
+        *(GRID + ["--iterations", "5", "--eta-grid", grid] for grid in ("0.1,0.1", "abc", "logspace:1,2")),
+        FIT + ["--method", "fuval", "--scheme", "remarkfv"],
         FIT + ["--method", "sgd", "--solve-reference", "--ref-tol", "-1"],
         ["reference", "--synthetic", "interp:n=10,d=3,seed=1", "--tol", "nan"],
         ["reference", "--synthetic", "interp:n=10,d=3,seed=1", "--tol", "0"],

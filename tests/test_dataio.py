@@ -24,15 +24,14 @@ class TestParseLibsvm:
         problem = parse_libsvm(text)
         assert problem.n == 2
         assert problem.dim == 3
-        assert problem.examples[0].label == 1.0
-        assert problem.examples[1].label == -1.0
-        np.testing.assert_array_equal(problem.examples[0].indices, [1, 3])
-        np.testing.assert_allclose(problem.examples[0].values, [0.5, 2.0])
+        assert problem.labels.tolist() == [1.0, -1.0]
+        cols, vals = problem.row(1)
+        np.testing.assert_array_equal(cols, [0, 2])  # 0-based
+        np.testing.assert_allclose(vals, [0.5, 2.0])
 
     def test_smaller_raw_label_maps_to_minus_one(self):
         problem = parse_libsvm("2 1:1\n4 1:1\n")
-        assert problem.examples[0].label == -1.0
-        assert problem.examples[1].label == 1.0
+        assert problem.labels.tolist() == [-1.0, 1.0]
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# header comment\n\n+1 1:1.0  # trailing\n\n-1 1:2.0\n"
@@ -49,7 +48,7 @@ class TestParseLibsvm:
 
     def test_least_squares_labels_kept_verbatim(self):
         problem = parse_libsvm("0.25 1:1\n-3.5 1:2\n", loss_kind=LossKind.LEAST_SQUARES)
-        assert [e.label for e in problem.examples] == [0.25, -3.5]
+        assert problem.labels.tolist() == [0.25, -3.5]
 
     def test_nonincreasing_index_rejected_with_line_number(self):
         with pytest.raises(ParseError) as exc:
@@ -247,10 +246,10 @@ class TestRoundTrip:
         text = serialize_libsvm(problem)
         back = parse_libsvm(text, loss_kind=kind, dim=problem.dim)
         assert back.n == problem.n
-        for a, b in zip(problem.examples, back.examples):
-            assert a.label == b.label
-            np.testing.assert_array_equal(a.indices, b.indices)
-            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(back.labels, problem.labels)
+        for i in range(1, problem.n + 1):
+            for a, b in zip(problem.row(i), back.row(i)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestGenSynthetic:
@@ -284,7 +283,7 @@ class TestGenSynthetic:
         )
         assert w_star is None
         assert problem.loss_kind is LossKind.LOGISTIC
-        assert set(e.label for e in problem.examples) <= {-1.0, 1.0}
+        assert set(problem.labels.tolist()) <= {-1.0, 1.0}
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

@@ -134,6 +134,14 @@ class TestScalingSchemes:
         assert lam == pytest.approx(1.5 * float(w0 @ w0) / g_max)
         assert delta == pytest.approx(1.5 * g_max)
 
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.LEAST_SQUARES])
+    @pytest.mark.parametrize("scheme", [ScalingScheme.REMARK_LIPSCHITZ, ScalingScheme.REMARK_FV])
+    def test_remark_schemes_refuse_zero_w0(self, scheme, kind):
+        # both scale lambda by ||w0||^2, which is 0 at the w0 = 0 that fit and grid use
+        problem = make_problem(kind)
+        with pytest.raises(ConfigurationError, match=f"scheme {scheme.value} .*needs a nonzero w0"):
+            resolve_scaling(scheme, 1.0, problem, np.zeros(problem.dim))
+
     def test_lipschitz_falls_back_for_least_squares(self):
         # least squares has no G; the scheme degrades to the f-value variant
         problem = make_problem(LossKind.LEAST_SQUARES)

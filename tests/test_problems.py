@@ -7,7 +7,7 @@ from fuvalkit.problems import (
     ContractViolation,
     LossKind,
     Problem,
-    SparseExample,
+    _scatter,
     dense_data,
     loss_grad,
     loss_grad_coef,
@@ -15,6 +15,7 @@ from fuvalkit.problems import (
     objective,
     objective_grad,
     per_sample_values,
+    row_norms_sq,
     sample_constants,
 )
 
@@ -23,37 +24,32 @@ def make_problem(loss_kind=LossKind.LOGISTIC, n=6, d=4, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     labels = rng.choice([-1.0, 1.0], size=n) if loss_kind is LossKind.LOGISTIC else rng.normal(size=n)
-    idx = np.arange(1, d + 1, dtype=np.int64)
-    examples = [SparseExample(label=float(labels[i]), indices=idx, values=x[i], dim=d) for i in range(n)]
-    return Problem(examples=examples, loss_kind=loss_kind, dim=d)
+    return Problem(
+        loss_kind=loss_kind,
+        dim=d,
+        labels=labels,
+        indptr=np.arange(0, n * d + 1, d),
+        indices=np.tile(np.arange(d), n),
+        data=x.ravel(),
+    )
 
 
-class TestSparseExample:
-    def test_dot_and_dense_agree(self):
-        ex = SparseExample(label=1.0, indices=np.array([2, 5]), values=np.array([3.0, -1.5]), dim=6)
+def one_row(cols, vals, label=1.0, dim=0, loss_kind=LossKind.LOGISTIC):
+    return Problem(loss_kind=loss_kind, dim=dim, labels=[label], indptr=[0, len(cols)], indices=cols, data=vals)
+
+
+def dot(problem, i, w):
+    """<x_i, w> from the CSR row slice."""
+    cols, vals = problem.row(i)
+    return float(vals @ w[cols])
+
+
+class TestRows:
+    def test_row_dot_and_dense_agree(self):
+        problem = one_row([1, 4], [3.0, -1.5], dim=6)
         w = np.arange(6, dtype=float)
-        assert ex.dot(w) == pytest.approx(ex.dense() @ w)
-        assert ex.norm_sq() == pytest.approx(3.0**2 + 1.5**2)
-
-    def test_rejects_nonincreasing_indices(self):
-        with pytest.raises(ContractViolation):
-            SparseExample(label=1.0, indices=np.array([3, 2]), values=np.array([1.0, 1.0]), dim=5)
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(ContractViolation):
-            SparseExample(label=1.0, indices=np.array([0]), values=np.array([1.0]), dim=5)
-
-    def test_rejects_index_beyond_dim(self):
-        with pytest.raises(ContractViolation):
-            SparseExample(label=1.0, indices=np.array([6]), values=np.array([1.0]), dim=5)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ContractViolation):
-            SparseExample(label=math.nan, indices=np.array([1]), values=np.array([1.0]), dim=1)
-
-    def test_empty_row_allowed(self):
-        ex = SparseExample(label=1.0, indices=np.array([], dtype=np.int64), values=np.array([]), dim=3)
-        assert ex.dot(np.ones(3)) == 0.0
+        assert dot(problem, 1, w) == pytest.approx(_scatter(problem)[0] @ w)
+        assert row_norms_sq(problem)[0] == pytest.approx(3.0**2 + 1.5**2)
 
 
 class TestLossOracles:
@@ -61,13 +57,11 @@ class TestLossOracles:
         problem = make_problem(LossKind.LOGISTIC)
         w = np.array([0.3, -0.2, 0.1, 0.5])
         for i in range(1, problem.n + 1):
-            ex = problem.examples[i - 1]
-            z = ex.label * ex.dot(w)
+            z = problem.labels[i - 1] * dot(problem, i, w)
             assert loss_value(problem, i, w) == pytest.approx(math.log(1 + math.exp(-z)), rel=1e-12)
 
     def test_logistic_value_stable_at_extreme_margins(self):
-        ex = SparseExample(label=1.0, indices=np.array([1]), values=np.array([1.0]), dim=1)
-        problem = Problem(examples=[ex], loss_kind=LossKind.LOGISTIC)
+        problem = one_row([0], [1.0])
         assert loss_value(problem, 1, np.array([1000.0])) == pytest.approx(0.0, abs=1e-300)
         # log(1+e^1000) = 1000 up to e^-1000
         assert loss_value(problem, 1, np.array([-1000.0])) == pytest.approx(1000.0)
@@ -77,8 +71,7 @@ class TestLossOracles:
         problem = make_problem(LossKind.LEAST_SQUARES)
         w = np.array([1.0, 0.0, -1.0, 2.0])
         for i in range(1, problem.n + 1):
-            ex = problem.examples[i - 1]
-            assert loss_value(problem, i, w) == pytest.approx(0.5 * (ex.dot(w) - ex.label) ** 2)
+            assert loss_value(problem, i, w) == pytest.approx(0.5 * (dot(problem, i, w) - problem.labels[i - 1]) ** 2)
 
     @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.LEAST_SQUARES])
     def test_grad_matches_central_differences(self, kind):
@@ -101,7 +94,7 @@ class TestLossOracles:
         w = np.random.default_rng(2).normal(size=problem.dim)
         for i in range(1, problem.n + 1):
             coef = loss_grad_coef(problem, i, w)
-            expected = coef * problem.examples[i - 1].dense()
+            expected = coef * _scatter(problem)[i - 1]
             np.testing.assert_allclose(loss_grad(problem, i, w), expected, rtol=1e-12)
 
     def test_index_out_of_range(self):
@@ -140,16 +133,19 @@ class TestObjective:
     def test_dense_data_matches_examples(self):
         problem = make_problem()
         x, y = dense_data(problem)
-        for row, ex in enumerate(problem.examples):
-            np.testing.assert_array_equal(x[row], ex.dense())
-            assert y[row] == ex.label
+        for i in range(1, problem.n + 1):
+            cols, vals = problem.row(i)
+            expected = np.zeros(problem.dim)
+            expected[cols] = vals
+            np.testing.assert_array_equal(x[i - 1], expected)
+            assert y[i - 1] == problem.labels[i - 1]
 
 
 class TestSampleConstants:
     def test_logistic_constants(self):
         problem = make_problem(LossKind.LOGISTIC)
         c = sample_constants(problem)
-        norms = np.array([np.linalg.norm(e.dense()) for e in problem.examples])
+        norms = np.linalg.norm(_scatter(problem), axis=1)
         np.testing.assert_allclose(c.lipschitz, norms, rtol=1e-12)
         np.testing.assert_allclose(c.smoothness, norms**2 / 4, rtol=1e-12)
         assert c.g_max == pytest.approx(norms.max())
@@ -159,7 +155,7 @@ class TestSampleConstants:
     def test_least_squares_constants(self):
         problem = make_problem(LossKind.LEAST_SQUARES)
         c = sample_constants(problem)
-        norms_sq = np.array([e.norm_sq() for e in problem.examples])
+        norms_sq = np.array([vals @ vals for _, vals in map(problem.row, range(1, problem.n + 1))])
         assert c.lipschitz is None
         assert c.g_max is None
         np.testing.assert_allclose(c.smoothness, norms_sq, rtol=1e-12)
@@ -180,10 +176,9 @@ class TestSampleConstants:
 class TestProblemValidation:
     def test_empty_problem_rejected(self):
         with pytest.raises(ContractViolation):
-            Problem(examples=[], loss_kind=LossKind.LOGISTIC)
+            Problem(loss_kind=LossKind.LOGISTIC, labels=[], indptr=[0], indices=[], data=[])
 
     def test_dim_inferred_from_examples(self):
-        ex = SparseExample(label=1.0, indices=np.array([4]), values=np.array([2.0]), dim=4)
-        problem = Problem(examples=[ex], loss_kind=LossKind.LOGISTIC)
+        problem = one_row([3], [2.0])
         assert problem.dim == 4
         assert problem.n == 1

@@ -176,15 +176,6 @@ def test_problem_digest_is_stable(problem, digest):
     assert problem_digest(problem) == digest
 
 
-def test_examples_view_round_trips():
-    problem = parse_libsvm("1 1:0.5 4:2\n-1\n1 2:1.5\n", dim=6)
-    again = Problem(examples=problem.examples, loss_kind=problem.loss_kind)
-    for name in ("labels", "indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(again, name), getattr(problem, name))
-    assert again.dim == 6
-    assert problem.indices.dtype == np.intp
-
-
 @pytest.mark.parametrize(
     "arrays",
     [
@@ -193,14 +184,21 @@ def test_examples_view_round_trips():
         dict(labels=[1.0], indptr=[0, 1], indices=[3], data=[1.0]),  # column beyond dim
         dict(labels=[1.0], indptr=[0, 1], indices=[0], data=[math.inf]),
         dict(labels=[], indptr=[0], indices=[], data=[]),
+        dict(labels=[1.0], indptr=[0, 2], indices=[2, 1], data=[1.0, 1.0]),  # falling column
+        dict(labels=[1.0], indptr=[0, 1], indices=[-1], data=[1.0]),  # negative column
+        dict(labels=[math.nan], indptr=[0, 1], indices=[0], data=[1.0]),
+        dict(labels=[1.0], indptr=[0, 2], indices=[0, 1], data=[1.0]),  # indices and data differ in length
+        dict(labels=[1.0, 1.0], indptr=[0, 1], indices=[0], data=[1.0]),  # indptr of the wrong length
+        dict(labels=[1.0], indptr=[0, 0], indices=[], data=[], dim=-1),  # dimension below 1
     ],
 )
 def test_malformed_csr_rejected(arrays):
     with pytest.raises(ContractViolation):
-        Problem(loss_kind=LossKind.LOGISTIC, dim=3, **arrays)
+        Problem(**{"loss_kind": LossKind.LOGISTIC, "dim": 3, **arrays})
 
 
 def test_arrays_are_read_only():
     problem = parse_libsvm("1 1:0.5\n-1 2:1\n")
     with pytest.raises(ValueError):
         problem.data[0] = 2.0
+    assert problem.indices.dtype == np.intp
