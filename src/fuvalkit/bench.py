@@ -251,6 +251,17 @@ def _scheme_name(scheme: ScalingScheme | None) -> str:
     return scheme.value if scheme is not None else "-"
 
 
+def grid_cells(families: list[str], schemes: list[ScalingScheme], etas: np.ndarray) -> list[GridCell]:
+    """The grid's cells in row order; GD and SGD have no scaling scheme."""
+    cells = [
+        GridCell(family, scheme, float(eta))
+        for family in families
+        for scheme in ([None] if family in ("gd", "sgd") else schemes)
+        for eta in np.sort(etas)
+    ]
+    return sorted(cells, key=lambda c: (c.method_family, _scheme_name(c.scheme), c.eta))
+
+
 def build_method(
     family: str,
     eta: float,
@@ -356,14 +367,7 @@ def grid_search(
     # exactly one run length is set, non-negative, and eval_every is at least 1
     RunConfig(iterations=iterations, epochs=epochs, eval_every=eval_every).total_steps(problem.n)
 
-    cells = []
-    for family in families:
-        cell_schemes = [None] if family in ("gd", "sgd") else schemes
-        for scheme in cell_schemes:
-            for eta in np.sort(etas):
-                cells.append(GridCell(family, scheme, float(eta)))
-    cells.sort(key=lambda c: (c.method_family, _scheme_name(c.scheme), c.eta))
-
+    cells = grid_cells(families, schemes, etas)
     w0 = np.zeros(problem.dim)
     methods = []
     for cell in cells:

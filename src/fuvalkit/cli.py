@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bench import ReferenceSolution, build_method, check_eta_grid, export_csv, grid_search, reference_solve
+from .bench import ReferenceSolution, build_method, check_eta_grid, export_csv, grid_cells, grid_search, reference_solve
 from .dataio import SyntheticMode, SyntheticSpec, gen_synthetic, parse_libsvm, serialize_libsvm
 from .optimizers import ConfigurationError, RunConfig, ScalingScheme, constant, inv_sqrt, run
 from .problems import LossKind, Problem
@@ -52,9 +52,9 @@ def parse_synthetic_spec(text: str) -> SyntheticSpec:
             flip_fraction=float(kv.pop("flip", "0.1")),
         )
     except (KeyError, ValueError) as exc:
-        raise click.BadParameter(
-            f"expected mode:n=..,d=..[,seed=..] with mode in {sorted(_SYNTH_MODES)}; got {text!r} ({exc})"
-        ) from exc
+        _fail_config(
+            f"--synthetic: expected mode:n=..,d=..[,seed=..] with mode in {sorted(_SYNTH_MODES)}; got {text!r} ({exc})"
+        )
 
 
 def parse_eta_grid(text: str) -> np.ndarray:
@@ -336,6 +336,12 @@ def grid(
         _fail_config(f"--eta-grid: {exc}")
 
     problem = load_problem(data, synthetic, loss)
+    w0 = np.zeros(problem.dim)
+    for cell in grid_cells(families, scheme_list, etas):  # every cell grid_search builds
+        try:
+            build_method(cell.method_family, cell.eta, cell.scheme, problem, w0)
+        except ConfigurationError as exc:
+            _fail_config(f"grid cell {cell.method_family} at eta={cell.eta:g}: {exc}")
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     ref = get_reference(problem, reference_path, True, ref_tol, out_path.parent)

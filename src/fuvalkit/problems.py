@@ -2,7 +2,8 @@
 constants.
 
 All oracles are pure functions of (problem, i, w) and safe for concurrent
-read-only use.
+read-only use: the margins X w a problem keeps of its last full-data pass
+are stored with their key in one assignment.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class Problem:
     are read-only.
     """
 
+    # (key of w, read-only X w) of the last full-data pass; not pickled
+    _margins = (None, None)
+
     def __init__(self, *, loss_kind: LossKind, labels, indptr, indices, data, dim: int = 0):
         labels = np.asarray(labels, dtype=np.float64)
         indptr = np.asarray(indptr, dtype=np.intp)
@@ -73,6 +77,9 @@ class Problem:
         self._dense = None
         if indices.size >= DENSE_MIN_DENSITY * n * dim:
             self._dense = _read_only(_scatter(self))
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_margins"}
 
     @property
     def n(self) -> int:
@@ -181,10 +188,16 @@ def _row_sums(problem: Problem, values: np.ndarray) -> np.ndarray:
 
 
 def _matvec(problem: Problem, w: np.ndarray) -> np.ndarray:
-    """X w."""
-    if problem._dense is not None:
-        return problem._dense @ w
-    return _row_sums(problem, problem.data * w[problem.indices])
+    """X w, read-only. The last result is kept keyed by the exact bytes of a
+    C-contiguous w, so another pass at the same point reuses it."""
+    key = (w.dtype.str, w.shape, w.tobytes()) if w.flags.c_contiguous else None
+    last_key, z = problem._margins  # one read: a matching pair
+    if key is None or key != last_key:
+        z = problem._dense @ w if problem._dense is not None else _row_sums(problem, problem.data * w[problem.indices])
+        z.flags.writeable = False
+        if key is not None:
+            problem._margins = (key, z)
+    return z
 
 
 def _rmatvec(problem: Problem, u: np.ndarray) -> np.ndarray:
@@ -206,12 +219,14 @@ def _losses(problem: Problem, z: np.ndarray, values: bool = True, coefs: bool = 
     y = problem.labels
     if problem.loss_kind is LossKind.LOGISTIC:
         m = -y * z
-        e = np.exp(-np.abs(m))  # equals exp(m) where m < 0, and never overflows
-        return (
-            np.maximum(m, 0.0) + np.log1p(e) if values else None,
-            # the sigmoid of m; a NaN margin fails m >= 0 and stays NaN
-            -y * np.where(m >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) if coefs else None,
-        )
+        e = np.abs(m)
+        np.exp(np.negative(e, out=e), out=e)  # exp(-|m|): exp(m) where m < 0, never overflows
+        # the sigmoid of m; a NaN margin fails m >= 0 and stays NaN
+        c = -y * (np.where(m >= 0, 1.0, e) / (1.0 + e)) if coefs else None
+        if values:  # max(m, 0) + log1p(e), in m's buffer
+            np.maximum(m, 0.0, out=m)
+            m += np.log1p(e)
+        return (m if values else None), c
     r = z - y
     return (0.5 * r**2 if values else None), (r if coefs else None)
 
@@ -223,7 +238,8 @@ def per_sample_values(problem: Problem, w: np.ndarray) -> np.ndarray:
 
 def objective(problem: Problem, w: np.ndarray) -> float:
     """Mean of per-sample loss values."""
-    return float(np.mean(per_sample_values(problem, w)))
+    values = per_sample_values(problem, w)
+    return float(values.sum() / values.size)  # np.mean's bits without its overhead
 
 
 def objective_grad(problem: Problem, w: np.ndarray) -> np.ndarray:
@@ -236,7 +252,7 @@ def objective_and_grad(problem: Problem, w: np.ndarray) -> tuple[float, np.ndarr
     """(objective(problem, w), objective_grad(problem, w)), bit for bit, from
     one X w, one exp and one X^T u."""
     values, coefs = _losses(problem, _matvec(problem, w))
-    return float(np.mean(values)), _rmatvec(problem, coefs) / problem.n
+    return float(values.sum() / values.size), _rmatvec(problem, coefs) / problem.n
 
 
 def sample_constants(problem: Problem) -> SampleConstants:

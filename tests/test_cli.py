@@ -22,11 +22,11 @@ class TestFlagParsing:
         assert spec.mode is SyntheticMode.NOISY_LEAST_SQUARES
         assert spec.noise_std == 0.25
 
-    def test_synthetic_spec_bad_mode(self):
-        import click
-
-        with pytest.raises(click.BadParameter):
+    def test_synthetic_spec_bad_mode(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             parse_synthetic_spec("bogus:n=1,d=1")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: --synthetic:")
 
     def test_eta_grid_logspace(self):
         grid = parse_eta_grid("logspace:1e-4,1e2,25")
@@ -216,8 +216,16 @@ class TestFit:
         assert result.exit_code == 0, result.output
 
 
-FIT = ["fit", "--synthetic", "interp:n=10,d=3,seed=1", "--iterations", "10"]
-GRID = ["grid", "--synthetic", "interp:n=10,d=3,seed=1", "--methods", "sgd", "--eta-grid", "0.1", "--jobs", "1"]
+SPEC = "interp:n=10,d=3,seed=1"
+FIT = ["fit", "--synthetic", SPEC, "--iterations", "10"]
+GRID = ["grid", "--synthetic", SPEC, "--methods", "sgd", "--eta-grid", "0.1", "--jobs", "1"]
+BAD_SPECS = ("bogus:n=5,d=2", "logistic:n=x,d=2")
+
+
+def case_id(args):
+    """The arguments after SPEC, or all of them for another problem."""
+    spec = args.index("--synthetic") + 1
+    return " ".join(args[spec + 1:] if args[spec] == SPEC else args)
 
 
 @pytest.mark.parametrize(
@@ -242,12 +250,20 @@ GRID = ["grid", "--synthetic", "interp:n=10,d=3,seed=1", "--methods", "sgd", "--
         FIT + ["--method", "sgd", "--solve-reference", "--ref-tol", "-1"],
         ["reference", "--synthetic", "interp:n=10,d=3,seed=1", "--tol", "nan"],
         ["reference", "--synthetic", "interp:n=10,d=3,seed=1", "--tol", "0"],
+        *(["fit", "--synthetic", spec, "--method", "sgd", "--iterations", "5"] for spec in BAD_SPECS),
+        *(["grid", "--synthetic", spec, "--methods", "sgd", "--iterations", "5", "--jobs", "1"] for spec in BAD_SPECS),
+        *(["reference", "--synthetic", spec] for spec in BAD_SPECS),
+        *(["gen", "--synthetic", spec] for spec in BAD_SPECS),
+        # cells grid_search could never build: refused before the reference is solved
+        ["grid", "--synthetic", "logistic:n=20,d=3,seed=1", "--methods", "fuval", "--schemes", "lipschitz",
+         "--iterations", "5", "--jobs", "1"],
+        *(GRID + ["--iterations", "5", "--eta-grid", grid] for grid in ("-1,1", "0,1", "nan,1", "inf,1")),
     ],
-    ids=lambda args: " ".join(args[args.index("--synthetic") + 2:]),
+    ids=case_id,
 )
 def test_bad_input_exits_2_with_one_error_line(runner, tmp_path, args):
-    out = str(tmp_path / "s.csv") if args[0] == "grid" else str(tmp_path)
-    result = runner.invoke(main, args + ["--out", out])
+    out = {"grid": tmp_path / "s.csv", "gen": tmp_path / "d.svm"}.get(args[0], tmp_path)
+    result = runner.invoke(main, args + ["--out", str(out)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

@@ -1,6 +1,10 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and importing the
+package or its CLI loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,12 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", ["fuvalkit", "fuvalkit.cli"])
+def test_import_leaves_scipy_out(module):
+    # scipy is a test extra: only the brute-force oracle imports it, lazily
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
